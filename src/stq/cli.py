@@ -96,7 +96,8 @@ def plan(task_file: str, variant: str | None, out: str | None) -> None:
               help="score only the named collection")
 @click.option("--calls", default=None,
               help="comma-separated diamonds for a single call pattern")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              help="recorded in the report; no score depends on it")
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--variant", default=None, help="override the task variant")
 def simulate_cmd(task_file: str, access: str | None, calls: str | None,

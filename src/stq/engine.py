@@ -2,9 +2,10 @@
 
 The simulator is exact where exactness is cheap.  Per scenario the control
 layer (guards tested against the call pattern) fixes which events fire; the
-quantum layer then evolves one dense state vector through them.  Pad keys
-are enumerated exhaustively while there are few and sampled beyond that,
-with an exact Weyl twirl standing in on the exclusion side.  Bell
+quantum layer then evolves one dense state vector through them, once, with
+every pad key at (0, 0).  No score depends on the key values: a collection
+that holds all of a slot's keys undoes them exactly, and averaging a slot
+over a key the collection lacks is the exact Weyl twirl of that slot.  Bell
 measurements are collapsed onto the (0, 0) outcome: measuring any slot
 against half of a fresh maximally entangled pair gives uniform outcome
 probabilities, and the post-measurement states of the d*d outcomes differ
@@ -146,9 +147,11 @@ def validate_plan(plan: Plan) -> None:
     token rests), causal move paths, guard visibility (each named call
     point must causally precede the decision point), pairwise exclusivity
     of guarded branches of the same quantum token, pad-key availability at
-    the pad point, and — for localize-exclude plans — that the key part
-    routed against each excluded region never touches it.  Raises
-    EngineError with a specific message on the first violation.
+    the pad point, single-use pad keys, pads whose record no later event
+    drops (an encode or a teleport would lose the token's pad stack), and
+    — for localize-exclude plans — that the key part routed against each
+    excluded region never touches it.  Raises EngineError with a specific
+    message on the first violation.
     """
     task = plan.task
     qpos: dict[str, Point] = {}
@@ -160,7 +163,15 @@ def validate_plan(plan: Plan) -> None:
     splits: list[tuple[str, list[str]]] = []
     outcomes: dict[str, Point] = {}
     pair_of: dict[str, str] = {}
+    padded: set[str] = set()           # tokens carrying a pad
+    used_keys: set[str] = set()        # keys some pad already applied
     sourced = False
+
+    def reject_padded(label: str, what: str) -> None:
+        if label in padded:
+            raise EngineError(
+                f"{what}: the pad on {label!r} would not be recorded past "
+                "this event")
 
     def check_guard(guard: dict | None, at: Point, what: str) -> None:
         for nm in _guard_names(guard):
@@ -200,6 +211,7 @@ def validate_plan(plan: Plan) -> None:
             if qpos.get(ev["input"]) != ev["at"]:
                 raise EngineError(
                     f"{what}: input does not rest at the encode point")
+            reject_padded(ev["input"], what)
             del qpos[ev["input"]]
             for out in ev["outputs"]:
                 qpos[out] = ev["at"]
@@ -227,6 +239,11 @@ def validate_plan(plan: Plan) -> None:
                     f"{what}: token does not rest at the pad point")
             if ev["key"] not in keys:
                 raise EngineError(f"{what}: pad with an unknown key")
+            if ev["key"] in used_keys:
+                raise EngineError(
+                    f"{what}: key {ev['key']!r} is used by a second pad")
+            used_keys.add(ev["key"])
+            padded.add(ev["token"])
         elif op == "bell":
             la, lb = ev["pair"]
             for lab in (la, lb):
@@ -237,6 +254,10 @@ def validate_plan(plan: Plan) -> None:
             if lb not in pair_of:
                 raise EngineError(
                     f"{what}: second slot must be half of a created pair")
+            reject_padded(lb, what)
+            reject_padded(pair_of[lb], what)
+            if la in padded:
+                padded.add(pair_of[lb])
             check_guard(ev.get("guard"), ev["at"], what)
             if ev.get("guard"):
                 note_qguard(la, ev["guard"], what)
@@ -653,16 +674,18 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
     Every delivery set is scored in the scenario where exactly its
     diamonds call (localize-exclude has a single call-free scenario), and
     every excluded set in the scenario where exactly *its* diamonds call —
-    which is what makes over-calling patterns the interesting ones.  Key
-    assignments are enumerated exactly while the plan holds at most
-    `max_key_enumeration` keys; beyond that, reconstruction is checked on
-    seeded samples and exclusion through the exact Weyl twirl (a collected
-    slot padded with a key the collection lacks averages to the maximally
-    mixed state).
+    which is what makes over-calling patterns the interesting ones.  Each
+    scenario runs once, with every pad key at (0, 0), and the scores are
+    exact over all key values: a delivery undoes every pad on the slots it
+    can use and traces the rest out, and an exclusion is scored through
+    the exact Weyl twirl over the keys its view lacks (a collected slot
+    padded with such a key averages to the maximally mixed state).
 
-    `access` restricts scoring to the one named collection; `calls`
-    restricts the battery to the one given call pattern.  Transfer tasks
-    fix their own scenarios and accept neither.
+    `seed`, `max_key_enumeration` and `key_samples` no longer change the
+    result; they are kept so existing callers still bind, and `seed` is
+    only echoed in the report.  `access` restricts scoring to the one named
+    collection; `calls` restricts the battery to the one given call
+    pattern.  Transfer tasks fix their own scenarios and accept neither.
     """
     validate_plan(plan)
     task = plan.task
@@ -678,20 +701,7 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
         if task.kind == "localize_exclude":
             raise EngineError("localize-exclude has no call pattern")
 
-    key_names = [ev["name"] for ev in plan.events if ev["op"] == "key"]
-    enumerated = len(key_names) <= max_key_enumeration
-    if enumerated:
-        wheel = [(a, b) for a in range(d) for b in range(d)]
-        assignments = [dict(zip(key_names, combo)) for combo in
-                       itertools.product(wheel, repeat=len(key_names))]
-    else:
-        rng = np.random.default_rng(seed)
-        assignments = [
-            {k: (int(rng.integers(d)), int(rng.integers(d)))
-             for k in key_names}
-            for _ in range(key_samples)]
-    zero_assignment = {k: (0, 0) for k in key_names}
-
+    zero = {ev["name"]: (0, 0) for ev in plan.events if ev["op"] == "key"}
     deliveries, exclusions = _collections_for(task)
     if access is not None:
         deliveries = [t for t in deliveries if t[0] == access]
@@ -706,74 +716,47 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
     leaks: list[float] = []
 
     for pattern in battery:
-        base = _run(plan, pattern, zero_assignment)
+        trace = _run(plan, pattern, zero)
         res = ScenarioResult(calls=tuple(sorted(pattern)),
-                             fired=tuple(base.fired))
-        traces: list[_Trace] | None = None
-
-        def runs() -> list[_Trace]:
-            nonlocal traces
-            if traces is None:
-                traces = [_run(plan, pattern, kv) for kv in assignments]
-            return traces
-
-        for label, region, members in deliveries:
-            if not geometric and frozenset(members) != pattern:
-                continue
-            view = _collect(base, region, geometric)
-            scored = [_reconstruct(tr, view, kv, d)
-                      for tr, kv in zip(runs(), assignments)]
-            worst = min(f for f, _ in scored)
-            fids.append(worst)
-            res.collectors.append(CollectorResult(
-                label, "deliver", fidelity=worst,
-                reconstructed=scored[0][1], ok=worst >= 1.0 - tol))
-        for label, region, members in exclusions:
-            if not geometric and frozenset(members) != pattern:
-                continue
-            view = _collect(base, region, geometric)
-            if enumerated:
-                blocks: dict[tuple, list] = {}
-                for tr, kv in zip(runs(), assignments):
-                    v = tuple((k, kv[k]) for k in sorted(view.keys))
-                    dm = _exclusion_dm(tr, view)
-                    if v in blocks:
-                        blocks[v][0] += 1.0
-                        blocks[v][1] = blocks[v][1] + dm
-                    else:
-                        blocks[v] = [1.0, dm]
-                total = sum(w for w, _ in blocks.values())
-                leak = sum((w / total) * _leak_of(acc / w, d)
-                           for w, acc in blocks.values())
-            else:
-                leak = _twirl_leak(base, view, d)
-            leaks.append(leak)
-            res.collectors.append(CollectorResult(
-                label, "exclude", leak=leak,
-                reconstructed=_reconstruct(base, view, zero_assignment,
-                                           d)[1],
-                ok=leak <= tol))
+                             fired=tuple(trace.fired))
+        for role, group in (("deliver", deliveries),
+                            ("exclude", exclusions)):
+            for label, region, members in group:
+                if not geometric and frozenset(members) != pattern:
+                    continue
+                view = _collect(trace, region, geometric)
+                fid, found = _reconstruct(trace, view, zero, d)
+                if role == "deliver":
+                    fids.append(fid)
+                    res.collectors.append(CollectorResult(
+                        label, role, fidelity=fid, reconstructed=found,
+                        ok=fid >= 1.0 - tol))
+                else:
+                    leak = _twirl_leak(trace, view, d)
+                    leaks.append(leak)
+                    res.collectors.append(CollectorResult(
+                        label, role, leak=leak, reconstructed=found,
+                        ok=leak <= tol))
         scenarios.append(res)
 
     min_fid = min(fids) if fids else None
     max_leak = max(leaks) if leaks else None
     passed = ((min_fid is None or min_fid >= 1.0 - tol)
               and (max_leak is None or max_leak <= tol))
-    notes = [f"{len(key_names)} pad key(s), "
-             + ("enumerated exactly" if enumerated else
-                f"sampled ({key_samples} draws), twirl on the exclusion "
-                "side")]
+    notes = [f"{len(zero)} pad key(s), exact Weyl twirl over the keys "
+             "each view lacks"]
     return SimulationReport(task.kind, seed, tol, scenarios, min_fid,
                             max_leak, None, passed, notes)
 
 
 def _twirl_leak(base: _Trace, view: _View, d: int) -> float:
-    """Exclusion metric without key enumeration.
+    """Exclusion metric, exact over every key assignment.
 
     Averaging a collected slot over a uniform pad key it cannot undo is
     the Weyl twirl, which maps any state to the maximally mixed one;
     conditioned on the keys the view does hold, the blocks differ only by
-    known unitaries, so the single all-zero-key run suffices.
+    known unitaries, so the single all-zero-key run suffices.  Slot by
+    slot is exact because `validate_plan` admits each key on one pad only.
     """
     dm = _exclusion_dm(base, view)
     dims = [d] * (len(view.slots) + 1)

@@ -49,7 +49,6 @@ __all__ = [
     "from_lightcone",
     "region_in_future",
     "connected",
-    "connection_witness",
     "earliest_point_after",
     "escape_exists",
     "extract_escape_path",
@@ -150,14 +149,6 @@ class Box:
     def contains(self, u: float, v: float) -> bool:
         return self.u_lo <= u <= self.u_hi and self.v_lo <= v <= self.v_hi
 
-    def intersects(self, other: "Box") -> bool:
-        return (
-            self.u_lo <= other.u_hi
-            and other.u_lo <= self.u_hi
-            and self.v_lo <= other.v_hi
-            and other.v_lo <= self.v_hi
-        )
-
 
 @dataclass(frozen=True)
 class Diamond:
@@ -233,28 +224,6 @@ def connected(a: Diamond, b: Diamond) -> bool:
     """Causally connected: a signal can go from one diamond's call corner to
     the other's return corner, in either direction."""
     return causal_leq(a.c, b.r) or causal_leq(b.c, a.r)
-
-
-def connection_witness(
-    group_a: Sequence[tuple[str, Diamond]],
-    group_b: Sequence[tuple[str, Diamond]],
-) -> tuple[str, str, bool] | None:
-    """First causal link between two groups of named diamonds.
-
-    Returns ``(name_from, name_to, flipped)`` where the call corner of
-    *name_from* precedes the return corner of *name_to*; ``flipped`` is True
-    when name_from belongs to group_b.  Deterministic: scans both groups in
-    the order given.  None when the groups are not connected.
-    """
-    for na, da in group_a:
-        for nb, db in group_b:
-            if causal_leq(da.c, db.r):
-                return (na, nb, False)
-    for nb, db in group_b:
-        for na, da in group_a:
-            if causal_leq(db.c, da.r):
-                return (nb, na, True)
-    return None
 
 
 def earliest_point_after(d: Diamond, p: Point) -> Point | None:

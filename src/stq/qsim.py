@@ -271,10 +271,6 @@ def partial_trace(state: State, keep: Sequence[str]) -> np.ndarray:
     return m @ m.conj().T
 
 
-def dm_dims(keep: Sequence[str], register: Register) -> tuple[int, ...]:
-    return tuple(register.dim(l) for l in keep)
-
-
 def depolarize_slot(dm: np.ndarray, dims: Sequence[int], idx: int) -> np.ndarray:
     """Exact full-Weyl-twirl of one slot of a density matrix: the slot is
     replaced by I/d (the Weyl operators form a unitary 1-design)."""

@@ -3,10 +3,14 @@
 Everything here is an independent re-derivation -- index loops, dense
 arrays, raster grids -- of something src/stq computes more cleverly.
 Slow and transparent on purpose: when a test disagrees with an oracle,
-the oracle is the side to believe.  Nothing in this module imports stq.
+the oracle is the side to believe.  Nothing in this module imports stq,
+except the pad-key enumeration at the end, which re-runs the engine's own
+interpreter for every key assignment so that only key scoring differs.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -242,3 +246,68 @@ class ScriptedRng:
         if size is None:
             return arr[0]
         return arr.reshape(size)
+
+
+# --------------------------------------------------------------------
+# pad keys, enumerated
+# --------------------------------------------------------------------
+
+
+def enumerated_scenarios(plan, tol=1e-9):
+    """Score a plan over every pad-key assignment, the slow way.
+
+    Per call pattern, the schedule is re-run for each of the (d*d)**k
+    assignments of its k keys.  A delivery takes its worst fidelity over
+    all of them.  An exclusion groups the runs by the values of the keys
+    its view holds, averages the collected view over each group, and
+    weights each group's leak by its size.  Built on the engine's
+    interpreter, collection and metrics (`_run`, `_collect`,
+    `_reconstruct`, `_exclusion_dm`, `_leak_of`) and its battery and
+    collections, so a disagreement with `simulate` is about keys alone.
+    Returns one engine ScenarioResult per call pattern.
+    """
+    from stq import engine
+
+    task = plan.task
+    d = task.secret_dim
+    names = [ev["name"] for ev in plan.events if ev["op"] == "key"]
+    wheel = [(a, b) for a in range(d) for b in range(d)]
+    # the all-zero assignment comes first in product order
+    assignments = [dict(zip(names, combo))
+                   for combo in itertools.product(wheel, repeat=len(names))]
+    deliveries, exclusions = engine._collections_for(task)
+    geometric = task.kind == "localize_exclude"
+    out = []
+    for pattern in engine._battery(task):
+        res = engine.ScenarioResult(calls=tuple(sorted(pattern)))
+        out.append(res)
+        picked = [(role, label, region)
+                  for role, group in (("deliver", deliveries),
+                                      ("exclude", exclusions))
+                  for label, region, members in group
+                  if geometric or frozenset(members) == pattern]
+        if not picked:
+            continue
+        runs = [engine._run(plan, pattern, kv) for kv in assignments]
+        for role, label, region in picked:
+            view = engine._collect(runs[0], region, geometric)
+            found = engine._reconstruct(runs[0], view, assignments[0], d)[1]
+            if role == "deliver":
+                fid = min(engine._reconstruct(tr, view, kv, d)[0]
+                          for tr, kv in zip(runs, assignments))
+                res.collectors.append(engine.CollectorResult(
+                    label, role, fidelity=fid, reconstructed=found,
+                    ok=fid >= 1.0 - tol))
+                continue
+            blocks = {}
+            for tr, kv in zip(runs, assignments):
+                held = tuple(kv[k] for k in sorted(view.keys))
+                count, acc = blocks.get(held, (0, 0.0))
+                dm = engine._exclusion_dm(tr, view)
+                blocks[held] = (count + 1, acc + dm)
+            leak = sum(count / len(runs) * engine._leak_of(acc / count, d)
+                       for count, acc in blocks.values())
+            res.collectors.append(engine.CollectorResult(
+                label, role, leak=leak, reconstructed=found,
+                ok=leak <= tol))
+    return out

@@ -3,16 +3,19 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import random
 
 import pytest
 
+from oracles import enumerated_scenarios
 from stq import engine
 from stq.engine import (CollectorResult, EngineError, ScenarioResult,
                         SimulationReport, pit_cheat_chi_probability, simulate,
                         validate_plan)
 from stq.geometry import Diamond, causal_leq, point
-from stq.model import AccessStructure, TaskSpec, embed_access_structure
-from stq.planner import plan_task
+from stq.model import (AccessStructure, TaskError, TaskSpec,
+                       embed_access_structure, parse_task)
+from stq.planner import PlanningError, plan_task
 
 SIMULATED = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
 
@@ -239,6 +242,49 @@ def test_audit_requires_a_key_copy_at_the_pad_point(plan_of):
         validate_plan(tampered(plan, drop_pad_visit))
 
 
+def test_audit_rejects_reused_pad_keys(plan_of):
+    plan = plan_of("triangle")
+
+    def pad_twice(events):
+        i = events.index(next(e for e in events if e["op"] == "pad"))
+        events.insert(i + 1, copy.deepcopy(events[i]))
+
+    with pytest.raises(EngineError, match="second pad"):
+        validate_plan(tampered(plan, pad_twice))
+
+
+def _pad_after(events, i, token):
+    """Pad `token` with a fresh key right after event `i`, where it rests."""
+    at = events[i]["at"]
+    events[i + 1:i + 1] = [{"op": "key", "name": "kx", "at": at},
+                           {"op": "pad", "token": token, "key": "kx",
+                            "at": at}]
+
+
+def test_audit_rejects_pads_an_encode_would_drop(plan_of):
+    plan = plan_of("triangle")
+
+    def pad_the_input(events):
+        src = next(e for e in events if e["op"] == "source")
+        _pad_after(events, events.index(src), src["label"])
+
+    with pytest.raises(EngineError, match="not be recorded"):
+        validate_plan(tampered(plan, pad_the_input))
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_audit_rejects_pads_a_teleport_would_drop(plan_of, half):
+    # half 0 is measured in the Bell event, half 1 receives the state
+    plan = plan_of("triangle")
+
+    def pad_a_pair_half(events):
+        pair = next(e for e in events if e["op"] == "create_pair")
+        _pad_after(events, events.index(pair), pair["labels"][half])
+
+    with pytest.raises(EngineError, match="not be recorded"):
+        validate_plan(tampered(plan, pad_a_pair_half))
+
+
 def test_audit_rejects_key_parts_crossing_their_excluded_region(task_of,
                                                                 plan_of):
     task, plan = task_of("fig1"), plan_of("fig1")
@@ -266,6 +312,86 @@ def test_audit_rejects_discontinuous_moves(plan_of):
 
     with pytest.raises(EngineError, match="resting position"):
         validate_plan(tampered(plan, teleport_without_a_channel))
+
+
+# ------------------------------------- key scoring against enumeration
+
+
+def _score_mismatches(plan):
+    """Where simulate's one-run scores differ from enumerating every key
+    assignment: fidelity and leak beyond 1e-9, or any ok/reconstructed
+    flag."""
+    got = simulate(plan).scenarios
+    want = enumerated_scenarios(plan)
+    if [sc.calls for sc in got] != [sc.calls for sc in want]:
+        return ["scenario batteries differ"]
+    out = []
+    for sg, sw in zip(got, want):
+        flags = [[(c.label, c.role, c.ok, c.reconstructed)
+                  for c in sc.collectors] for sc in (sg, sw)]
+        if flags[0] != flags[1]:
+            out.append(f"calls {sg.calls}: {flags[0]} vs {flags[1]}")
+            continue
+        for cg, cw in zip(sg.collectors, sw.collectors):
+            for metric in ("fidelity", "leak"):
+                vg, vw = getattr(cg, metric), getattr(cw, metric)
+                if (vg is None) != (vw is None) or (
+                        vg is not None and abs(vg - vw) > 1e-9):
+                    out.append(f"calls {sg.calls} {cg.label}: {metric} "
+                               f"{vg} vs {vw}")
+    return out
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig10", "fig13", "triangle"])
+def test_fixture_scores_match_key_enumeration(plan_of, name):
+    assert _score_mismatches(plan_of(name)) == []
+
+
+def _random_diamond(rng, name, dim):
+    t, dur = rng.randint(0, 5), rng.randint(0, 6)
+    xs = [rng.randint(-4, 4) for _ in range(dim)]
+    c = ", ".join(str(v) for v in (t, *xs))
+    r = ", ".join(str(v) for v in (t + dur, *xs))
+    return f"diamond {name} c=({c}) r=({r})"
+
+
+def _random_task(rng, dim, summoning):
+    """State assembly over 2-3 diamonds with 1-2 authorized sets of size
+    1-2 and one unauthorized set, or single-call summoning over 2-4
+    diamonds; calls at integer t in [0, 5] and x in [-4, 4], durations
+    0-6, start at t=-1 on the origin."""
+    kind = ("summoning:single_call_single_return" if summoning
+            else "state_assembly")
+    names = [f"D{i + 1}" for i in range(rng.randint(2, 4 if summoning
+                                                      else 3))]
+    lines = [f"task {kind}", f"dim {dim}", "secret_dim 3",
+             "start (" + ", ".join(["-1"] + ["0"] * dim) + ")"]
+    lines += [_random_diamond(rng, nm, dim) for nm in names]
+    if not summoning:
+        for _ in range(rng.randint(1, 2)):
+            lines.append("authorized " + " ".join(
+                sorted(rng.sample(names, rng.randint(1, 2)))))
+        lines.append("unauthorized " + " ".join(
+            sorted(rng.sample(names, rng.randint(1, len(names))))))
+    return "\n".join(lines) + "\n"
+
+
+def test_random_scores_match_key_enumeration():
+    # unfiltered: every plan the planner emits is compared, PASS or FAIL
+    rng = random.Random(3)
+    failures, compared, keyed, failing = [], 0, 0, 0
+    for i in range(300):
+        text = _random_task(rng, 1 + i % 2, summoning=i % 3 == 2)
+        try:
+            plan = plan_task(parse_task(text))
+        except (TaskError, PlanningError):
+            continue
+        compared += 1
+        keyed += any(ev["op"] == "key" for ev in plan.events)
+        failing += not simulate(plan).passed
+        failures += [f"task {i}: {m}" for m in _score_mismatches(plan)]
+    assert failures == []
+    assert compared >= 50 and keyed >= 20 and failing >= 1
 
 
 # ----------------------------------------------------- access and calls
