@@ -96,20 +96,17 @@ def plan(task_file: str, variant: str | None, out: str | None) -> None:
               help="score only the named collection")
 @click.option("--calls", default=None,
               help="comma-separated diamonds for a single call pattern")
-@click.option("--seed", default=0, show_default=True,
-              help="recorded in the report; no score depends on it")
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--variant", default=None, help="override the task variant")
 def simulate_cmd(task_file: str, access: str | None, calls: str | None,
-                 seed: int, tol: float, variant: str | None) -> None:
+                 tol: float, variant: str | None) -> None:
     """Plan TASK_FILE and certify the protocol numerically."""
     task = _load(task_file, variant)
     call_set = ([c for c in calls.split(",") if c]
                 if calls is not None else None)
     try:
         p = plan_task(task)
-        report = simulate(p, seed=seed, tol=tol, access=access,
-                          calls=call_set)
+        report = simulate(p, tol=tol, access=access, calls=call_set)
     except PlanningError as exc:
         click.echo(f"infeasible: {exc}")
         sys.exit(2)
