@@ -16,7 +16,7 @@ are closed axis-aligned boxes.  Every decision procedure in this module
 no tolerance bands.
 
 The escape decision collects all obstacle and target bounds into a breakpoint
-grid and computes reachability on the *face graph* of the grid: nodes are the
+grid and decides reachability on the *face graph* of the grid: nodes are the
 obstacle-free open cells, open edges and vertices; arcs are the monotone
 transitions between faces sharing boundary.  Two facts make the face graph
 lossless (both rely on every box bound lying on a grid line):
@@ -29,11 +29,19 @@ so an admissible monotone curve can be retraced face by face -- including
 curves that ride a grid line or thread a corner -- and conversely every
 face-graph path is realizable as a curve.  Degenerate (point) diamonds are
 single grid vertices and block exactly themselves.
+
+The faces live on the *refined* grid: index 2i is the breakpoint line i and
+2i + 1 the open interval after it, so a face's kind is the parity of its two
+indices and an obstacle blocks one rectangle of indices.  Once the
+breakpoints are sorted, only integers are compared.  Reachability is a sweep
+over that grid, one row at a time, with each row a Python ``int`` bitset:
+forward from the source cell below every breakpoint, and backward, by the
+same sweep on the reversed grid, from the sink cell above them.  A face lies
+on an escape curve when both sweeps reach it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -146,9 +154,6 @@ class Box:
     v_lo: float
     v_hi: float
 
-    def contains(self, u: float, v: float) -> bool:
-        return self.u_lo <= u <= self.u_hi and self.v_lo <= v <= self.v_hi
-
 
 @dataclass(frozen=True)
 class Diamond:
@@ -239,22 +244,76 @@ def earliest_point_after(d: Diamond, p: Point) -> Point | None:
 
 
 # ====================================================================
-# exact escape decision on the breakpoint face graph
+# exact escape decision: a bitset sweep over the refined breakpoint grid
 # ====================================================================
 
-# Face encoding: (kind, i, j)
+# Face encoding for `_advance`: (kind, i, j)
 #   CELL i,j : open cell (us[i], us[i+1]) x (vs[j], vs[j+1])
 #   VE   i,j : open vertical edge {us[i]} x (vs[j], vs[j+1])
 #   HE   i,j : open horizontal edge (us[i], us[i+1]) x {vs[j]}
 #   VX   i,j : vertex (us[i], vs[j])
+# The sweep numbers the same faces on the refined grid instead: index 2i is
+# the line us[i] and 2i + 1 the open interval after it, so CELL i,j is
+# (2i+1, 2j+1), VE i,j is (2i, 2j+1), HE i,j is (2i+1, 2j) and VX i,j is
+# (2i, 2j).  Index parity gives the kind, in the order CELL, VE, HE, VX.
 _CELL, _VE, _HE, _VX = 0, 1, 2, 3
+_KIND_OF_PARITY = {(1, 1): _CELL, (0, 1): _VE, (1, 0): _HE, (0, 0): _VX}
 
 _MARGIN = 1.0  # how far witness paths extend past the finite breakpoints
 
 
+def _sweep(free: list[int]) -> list[int]:
+    """Faces reachable from the source cell (1, 1), one `int` bitset per row.
+
+    Bit J of row I is face (I, J).  Each row is seeded straight up from the
+    row below, and every seed then extends along its run of free faces:
+    adding the seeds to `f` sends a carry from each run's lowest seed to
+    the top of the run and clears the bits it passes, so ``f & ~(f + s)``
+    is that stretch, less any further seeds inside it (a seed bit that
+    meets the carry stays set); ``| s`` puts those back.
+
+    The face graph also steps diagonally, from a cell to the vertex at its
+    far corner and from a vertex to the cell beyond it.  Those arcs add no
+    reachable face: a free vertex has all four incident edges free (the
+    second lossless fact), one of them lies between the vertex and the
+    cell, and the same move goes by two axial steps through that edge.  The
+    rows therefore hold exactly the face graph's reachable set.
+    """
+    reach = [0] * len(free)
+    row = 0
+    for i in range(1, len(free)):
+        f = free[i]
+        s = row & f
+        if i == 1:
+            s |= 0b10 & f
+        row = (f & ~(f + s)) | s
+        reach[i] = row
+    return reach
+
+
+def _bit_span(lo: int, hi: int) -> int:
+    """Bits lo..hi set."""
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+def _free_rows(rects, rows: int, bits: int) -> list[int]:
+    """Row bitsets of the faces outside every index rectangle
+    (i_lo, i_hi, j_lo, j_hi)."""
+    blocked = [0] * rows
+    for i_lo, i_hi, j_lo, j_hi in rects:
+        cols = _bit_span(j_lo, j_hi)
+        blocked[i_lo:i_hi + 1] = [x | cols for x in blocked[i_lo:i_hi + 1]]
+    full = (1 << bits) - 1
+    return [full & ~x for x in blocked]
+
+
+def _reversed_bits(x: int, n: int) -> int:
+    """The low `n` bits of x in reverse order."""
+    return int(format(x, "b").zfill(n)[::-1], 2) if x else 0
+
+
 class _Grid:
     def __init__(self, targets: Sequence[Box], obstacles: Sequence[Box]):
-        self.obstacles = tuple(obstacles)
         us: set[float] = set()
         vs: set[float] = set()
         for b in list(targets) + list(obstacles):
@@ -271,127 +330,116 @@ class _Grid:
         self.vs = [v_sorted[0] - pad] + v_sorted + [v_sorted[-1] + pad]
         self.nu = len(self.us)
         self.nv = len(self.vs)
-        self._free_cache: dict[tuple[int, int, int], bool] = {}
+        # refined grid: rows I < 2*nu - 1, bits J < 2*nv - 1
+        self.rows = 2 * self.nu - 1
+        self.bits = 2 * self.nv - 1
+        self._u_index = {u: 2 * k for k, u in enumerate(self.us)}
+        self._v_index = {v: 2 * k for k, v in enumerate(self.vs)}
+        rects = [self._rect(b) for b in obstacles]
+        self._fwd = _sweep(_free_rows(rects, self.rows, self.bits))
+        # backward reachability is the same sweep on the grid turned half
+        # around: row I is row rows-1-I there, and bit J is bit bits-1-J
+        ti, tj = self.rows - 1, self.bits - 1
+        self._bwd_rev = _sweep(_free_rows(
+            [(ti - i_hi, ti - i_lo, tj - j_hi, tj - j_lo)
+             for i_lo, i_hi, j_lo, j_hi in rects], self.rows, self.bits))
 
-    # -- face geometry ------------------------------------------------
-
-    def midpoint(self, face: tuple[int, int, int]) -> tuple[float, float]:
-        kind, i, j = face
-        if kind == _CELL:
-            return (self._mid_u(i), self._mid_v(j))
-        if kind == _VE:
-            return (self.us[i], self._mid_v(j))
-        if kind == _HE:
-            return (self._mid_u(i), self.vs[j])
-        return (self.us[i], self.vs[j])
-
-    def _mid_u(self, i: int) -> float:
-        return 0.5 * (self.us[i] + self.us[i + 1])
-
-    def _mid_v(self, j: int) -> float:
-        return 0.5 * (self.vs[j] + self.vs[j + 1])
-
-    # Anchors are like midpoints but clamp the unbounded sentinel intervals
-    # to a point just past the finite breakpoints, so witness paths stay
-    # within the bounding box plus a margin.
+    # Anchors are midpoints, except that the unbounded sentinel intervals
+    # clamp to a point just past the finite breakpoints, so witness paths
+    # stay within the bounding box plus a margin.
     def _anchor_u(self, i: int) -> float:
         if i == 0:
             return self.us[1] - _MARGIN
         if i == self.nu - 2:
             return self.us[i] + _MARGIN
-        return self._mid_u(i)
+        return 0.5 * (self.us[i] + self.us[i + 1])
 
     def _anchor_v(self, j: int) -> float:
         if j == 0:
             return self.vs[1] - _MARGIN
         if j == self.nv - 2:
             return self.vs[j] + _MARGIN
-        return self._mid_v(j)
+        return 0.5 * (self.vs[j] + self.vs[j + 1])
 
-    def free(self, face: tuple[int, int, int]) -> bool:
-        got = self._free_cache.get(face)
-        if got is None:
-            u, v = self.midpoint(face)
-            got = not any(b.contains(u, v) for b in self.obstacles)
-            self._free_cache[face] = got
-        return got
+    def _rect(self, box: Box) -> tuple[int, int, int, int]:
+        """Refined index bounds (i_lo, i_hi, j_lo, j_hi) of the faces whose
+        points lie in the closed box.  Every bound is a breakpoint, so those
+        run from the low bound's line to the high bound's."""
+        return (self._u_index[box.u_lo], self._u_index[box.u_hi],
+                self._v_index[box.v_lo], self._v_index[box.v_hi])
 
-    # -- monotone arcs ------------------------------------------------
+    def _in_fwd(self, i: int, j: int) -> bool:
+        return self._fwd[i] >> j & 1 == 1
 
-    def successors(self, face: tuple[int, int, int]):
-        kind, i, j = face
-        nu, nv = self.nu, self.nv
-        if kind == _CELL:
-            yield (_VE, i + 1, j)
-            yield (_HE, i, j + 1)
-            yield (_VX, i + 1, j + 1)
-        elif kind == _VE:
-            if i <= nu - 2:
-                yield (_CELL, i, j)
-            yield (_VX, i, j + 1)
-        elif kind == _HE:
-            if j <= nv - 2:
-                yield (_CELL, i, j)
-            yield (_VX, i + 1, j)
-        else:  # _VX
-            if i <= nu - 2 and j <= nv - 2:
-                yield (_CELL, i, j)
-            if j <= nv - 2:
-                yield (_VE, i, j)
-            if i <= nu - 2:
-                yield (_HE, i, j)
+    def _in_bwd(self, i: int, j: int) -> bool:
+        return self._bwd_rev[self.rows - 1 - i] >> (self.bits - 1 - j) & 1 == 1
 
-    def predecessors(self, face: tuple[int, int, int]):
-        kind, i, j = face
-        if kind == _CELL:
-            yield (_VE, i, j)
-            yield (_HE, i, j)
-            yield (_VX, i, j)
-        elif kind == _VE:
-            if i >= 1:
-                yield (_CELL, i - 1, j)
-            yield (_VX, i, j)
-        elif kind == _HE:
-            if j >= 1:
-                yield (_CELL, i, j - 1)
-            yield (_VX, i, j)
-        else:  # _VX
-            if i >= 1 and j >= 1:
-                yield (_CELL, i - 1, j - 1)
-            if j >= 1:
-                yield (_VE, i, j - 1)
-            if i >= 1:
-                yield (_HE, i - 1, j)
+    def hit(self, targets: Sequence[Box]) -> tuple[int, int] | None:
+        """The first face on an escape curve inside a target: target boxes
+        as given, then face kind (CELL, VE, HE, VX), then i, then j."""
+        for box in targets:
+            lo, hi, j_lo, j_hi = self._rect(box)
+            cols = _bit_span(j_lo, j_hi)
+            through: dict[int, int] = {}
+            for i in range(lo, hi + 1):
+                row = self._fwd[i] & cols
+                if row:
+                    row &= _reversed_bits(
+                        self._bwd_rev[self.rows - 1 - i], self.bits)
+                through[i] = row
+            odd = int("10" * self.nv, 2)  # the bits of odd index
+            for pi, pj in _KIND_OF_PARITY:
+                parity = odd if pj else ~odd
+                for i in range(lo + pi, hi + 1, 2):
+                    row = through[i] & parity
+                    if row:
+                        return (i, (row & -row).bit_length() - 1)
+        return None
 
-    def _bfs(self, start, step):
-        parents: dict[tuple[int, int, int], tuple[int, int, int] | None] = {
-            start: None
-        }
-        queue = deque([start])
-        while queue:
-            f = queue.popleft()
-            for g in step(f):
-                if g not in parents and self.free(g):
-                    parents[g] = f
-                    queue.append(g)
-        return parents
+    def chain(self, hit: tuple[int, int]) -> list[tuple[int, int, int]]:
+        """Faces from the source cell through `hit` to the sink cell, each a
+        face-graph step from the one before, as (kind, i, j)."""
+        back = self._walk(hit, -1, self._in_fwd, (1, 1))
+        sink = (self.rows - 2, self.bits - 2)
+        ahead = self._walk(hit, 1, self._in_bwd, sink)
+        faces = back[::-1] + ahead[1:]
+        return [(_KIND_OF_PARITY[i % 2, j % 2], i // 2, j // 2)
+                for i, j in faces]
 
-    def forward(self):
-        return self._bfs((_CELL, 0, 0), self.successors)
-
-    def backward(self):
-        return self._bfs((_CELL, self.nu - 2, self.nv - 2), self.predecessors)
+    @staticmethod
+    def _walk(face, d, reachable, end) -> list[tuple[int, int]]:
+        """Step by d along face-graph arcs (the diagonal first, from cells
+        and vertices only) through `reachable` faces until `end`.  Every
+        reachable face but the end has such a step, so the walk cannot
+        stall."""
+        i, j = face
+        faces = [face]
+        while (i, j) != end:
+            steps = [(i + d, j + d)] if (i - j) % 2 == 0 else []
+            steps += [(i + d, j), (i, j + d)]
+            nxt = next((s for s in steps if reachable(*s)), None)
+            if nxt is None:
+                raise RuntimeError(
+                    f"internal error: escape walk stalled at face {(i, j)}")
+            i, j = nxt
+            faces.append(nxt)
+        return faces
 
 
-def _target_boxes(through: Union[Point, _DiamondsLike]) -> tuple[Box, ...]:
+# Box lists, not `tuple(generator)`: that form allocates a tuple of guessed
+# size and shrinks it, so on CPython each call parks one block on the tuple
+# free list of the final size until the next full garbage collection.
+
+
+def _target_boxes(through: Union[Point, _DiamondsLike]) -> list[Box]:
     if isinstance(through, Point):
         u, v = to_lightcone(through)
-        return (Box(u, u, v, v),)
-    return tuple(d.box() for d in _diamonds_of(through))
+        return [Box(u, u, v, v)]
+    return [d.box() for d in _diamonds_of(through)]
 
 
-def _obstacle_boxes(avoiding: _DiamondsLike) -> tuple[Box, ...]:
-    return tuple(d.box() for d in _diamonds_of(avoiding))
+def _obstacle_boxes(avoiding: _DiamondsLike) -> list[Box]:
+    return [d.box() for d in _diamonds_of(avoiding)]
 
 
 def _check_dim1(through, avoiding) -> None:
@@ -409,24 +457,11 @@ def _check_dim1(through, avoiding) -> None:
 
 
 def _search(through, avoiding):
-    """Shared core: grid, reachability maps and the first hit face."""
+    """Shared core: the grid and the first hit face, or None."""
     _check_dim1(through, avoiding)
     targets = _target_boxes(through)
-    obstacles = _obstacle_boxes(avoiding)
-    grid = _Grid(targets, obstacles)
-    fwd = grid.forward()
-    bwd = grid.backward()
-    hit = None
-    # Deterministic scan order: target boxes as given, then face kind/index.
-    for box in targets:
-        for face in sorted(set(fwd) & set(bwd)):
-            u, v = grid.midpoint(face)
-            if box.contains(u, v):
-                hit = face
-                break
-        if hit is not None:
-            break
-    return grid, fwd, bwd, hit
+    grid = _Grid(targets, _obstacle_boxes(avoiding))
+    return grid, grid.hit(targets)
 
 
 def escape_exists(through: Union[Point, _DiamondsLike], avoiding: _DiamondsLike) -> bool:
@@ -437,7 +472,7 @@ def escape_exists(through: Union[Point, _DiamondsLike], avoiding: _DiamondsLike)
     Touching an obstacle -- boundary included -- counts as hitting it;
     touching the target counts as passing through it.
     """
-    _, _, _, hit = _search(through, avoiding)
+    _, hit = _search(through, avoiding)
     return hit is not None
 
 
@@ -453,7 +488,8 @@ def _advance(grid: _Grid, xy: tuple[float, float], face) -> tuple[float, float]:
         nu, nv = max(u, grid._anchor_u(i)), grid.vs[j]
     else:
         nu, nv = grid.us[i], grid.vs[j]
-    assert nu >= u - 1e-12 and nv >= v - 1e-12, "non-monotone face walk"
+    if nu < u - 1e-12 or nv < v - 1e-12:
+        raise RuntimeError("internal error: non-monotone face walk")
     return (nu, nv)
 
 
@@ -465,33 +501,23 @@ def extract_escape_path(
     Raises ValueError when no escape exists.  The returned polyline is
     monotone in (u, v), touches `through`, avoids every obstacle, and is
     clipped to the breakpoint bounding box plus a unit margin.  The result is
-    re-validated with `verify_witness_curve` before being returned.
+    re-validated with `verify_witness_curve` before being returned; a path
+    that fails raises RuntimeError, an internal error.
     """
-    grid, fwd, bwd, hit = _search(through, avoiding)
+    grid, hit = _search(through, avoiding)
     if hit is None:
         raise ValueError("no escape curve exists")
 
-    chain: list = []
-    f = hit
-    while f is not None:
-        chain.append(f)
-        f = fwd[f]
-    chain.reverse()  # source cell ... hit face
-    f = bwd[hit]
-    while f is not None:
-        chain.append(f)
-        f = bwd[f]
-
     xy = (grid.us[1] - _MARGIN, grid.vs[1] - _MARGIN)
     waypoints: list[tuple[float, float]] = []
-    for face in chain:
+    for face in grid.chain(hit):
         xy = _advance(grid, xy, face)
         if not waypoints or waypoints[-1] != xy:
             waypoints.append(xy)
     path = [from_lightcone(u, v) for u, v in waypoints]
-    assert verify_witness_curve(path, through, avoiding), (
-        "internal error: extracted path failed verification"
-    )
+    if not verify_witness_curve(path, through, avoiding):
+        raise RuntimeError(
+            "internal error: extracted path failed verification")
     return path
 
 

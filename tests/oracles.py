@@ -71,6 +71,81 @@ def _monotone_reach(free):
 
 
 # --------------------------------------------------------------------
+# monotone escape on the breakpoint face graph, searched face by face
+# --------------------------------------------------------------------
+#
+# The escape kernel geometry used before its bitset sweep.  Every box
+# bound becomes a breakpoint; one sentinel on each side closes the grid.
+# Nodes are the open cells, open edges and vertices whose midpoint lies in
+# no obstacle (boundary included); arcs are the monotone moves between
+# faces that share boundary.  Unlike the raster above it decides grazing
+# contact -- curves riding a shared edge or threading a corner -- exactly.
+
+_CELL, _VE, _HE, _VX = range(4)
+
+
+def face_graph_escape(targets, obstacles):
+    """True when a monotone curve from the infinite past to the infinite
+    future touches some target box and no obstacle.  Boxes are
+    (u_lo, u_hi, v_lo, v_hi) tuples; degenerate boxes are points."""
+    boxes = list(targets) + list(obstacles)
+    us = sorted({b[0] for b in boxes} | {b[1] for b in boxes})
+    vs = sorted({b[2] for b in boxes} | {b[3] for b in boxes})
+    us = [us[0] - 1] + us + [us[-1] + 1]
+    vs = [vs[0] - 1] + vs + [vs[-1] + 1]
+    nu, nv = len(us), len(vs)
+
+    def midpoint(face):
+        kind, i, j = face
+        u = us[i] if kind in (_VE, _VX) else (us[i] + us[i + 1]) / 2
+        v = vs[j] if kind in (_HE, _VX) else (vs[j] + vs[j + 1]) / 2
+        return u, v
+
+    def inside(box, uv):
+        return box[0] <= uv[0] <= box[1] and box[2] <= uv[1] <= box[3]
+
+    def free(face):
+        return not any(inside(b, midpoint(face)) for b in obstacles)
+
+    def successors(face):
+        kind, i, j = face
+        if kind == _CELL:
+            return [(_VE, i + 1, j), (_HE, i, j + 1), (_VX, i + 1, j + 1)]
+        if kind == _VE:
+            return [(_CELL, i, j)] * (i <= nu - 2) + [(_VX, i, j + 1)]
+        if kind == _HE:
+            return [(_CELL, i, j)] * (j <= nv - 2) + [(_VX, i + 1, j)]
+        return ([(_CELL, i, j)] * (i <= nu - 2 and j <= nv - 2)
+                + [(_VE, i, j)] * (j <= nv - 2)
+                + [(_HE, i, j)] * (i <= nu - 2))
+
+    def predecessors(face):
+        kind, i, j = face
+        if kind == _CELL:
+            return [(_VE, i, j), (_HE, i, j), (_VX, i, j)]
+        if kind == _VE:
+            return [(_CELL, i - 1, j)] * (i >= 1) + [(_VX, i, j)]
+        if kind == _HE:
+            return [(_CELL, i, j - 1)] * (j >= 1) + [(_VX, i, j)]
+        return ([(_CELL, i - 1, j - 1)] * (i >= 1 and j >= 1)
+                + [(_VE, i, j - 1)] * (j >= 1)
+                + [(_HE, i - 1, j)] * (i >= 1))
+
+    def reach(start, step):
+        seen, todo = {start}, [start]
+        while todo:
+            for g in step(todo.pop()):
+                if g not in seen and free(g):
+                    seen.add(g)
+                    todo.append(g)
+        return seen
+
+    both = (reach((_CELL, 0, 0), successors)
+            & reach((_CELL, nu - 2, nv - 2), predecessors))
+    return any(inside(t, midpoint(f)) for t in targets for f in both)
+
+
+# --------------------------------------------------------------------
 # causal order, brute force
 # --------------------------------------------------------------------
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_boxes_linked, brute_causal_leq, raster_escape
+from oracles import (brute_boxes_linked, brute_causal_leq, face_graph_escape,
+                     raster_escape)
+from stq import geometry
 from stq.geometry import (Diamond, Point, Region, causal_leq, connected,
                           earliest_point_after, escape_exists,
                           extract_escape_path, from_lightcone, path_is_causal,
@@ -206,6 +208,61 @@ def test_escape_path_is_a_valid_witness(seed):
     else:
         with pytest.raises(ValueError):
             extract_escape_path(tgt, obstacles)
+
+
+# The raster cannot decide grazing contact, so the face-graph oracle checks
+# the instances it must avoid: a few integer boxes on a small grid, where
+# bounds are often shared, corners touch, obstacles and targets shrink to
+# points, and point targets sit on obstacle edges.
+
+
+def grazing_escape_instance(seed):
+    import random
+    rng = random.Random(seed)
+
+    def box():
+        ul, vl = rng.randint(0, 10), rng.randint(0, 10)
+        if rng.random() < 0.2:
+            return (ul, ul, vl, vl)
+        return (ul, ul + rng.randint(0, 4), vl, vl + rng.randint(0, 4))
+
+    boxes = [box() for _ in range(rng.randint(0, 12))]
+    targets = [box() for _ in range(rng.randint(1, 2))]
+    if boxes and rng.random() < 0.3:
+        ul, uh, vl, vh = rng.choice(boxes)
+        if rng.random() < 0.5:
+            u, v = rng.choice((ul, uh)), rng.randint(vl, vh)
+        else:
+            u, v = rng.randint(ul, uh), rng.choice((vl, vh))
+        targets = [(u, u, v, v)]
+    return targets, boxes
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_escape_matches_face_graph_oracle(seed):
+    targets, boxes = grazing_escape_instance(seed)
+    (ul, uh, vl, vh), *more = targets
+    if not more and ul == uh and vl == vh:
+        through = from_lightcone(ul, vl)
+    else:
+        through = Region("T", tuple(box_diamond(*t) for t in targets))
+    obstacles = [box_diamond(*b) for b in boxes]
+    found = escape_exists(through, obstacles)
+    assert found == face_graph_escape(targets, boxes)
+    if found:
+        path = extract_escape_path(through, obstacles)
+        assert path_is_causal(path)
+        assert verify_witness_curve(path, through, obstacles)
+
+
+def test_unverified_witness_is_an_internal_error(monkeypatch):
+    # not ValueError, which means "no escape exists"; and not an assert,
+    # which python -O strips
+    monkeypatch.setattr(geometry, "verify_witness_curve",
+                        lambda *args: False)
+    with pytest.raises(RuntimeError, match="internal error"):
+        extract_escape_path(from_lightcone(0, 0), [box_diamond(1, 21, 9, 13)])
 
 
 def test_witness_curve_rejects_non_causal_segments():
