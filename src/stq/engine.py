@@ -143,13 +143,21 @@ def _guard_names(guard: dict | None) -> list[str]:
 def validate_plan(plan: Plan) -> None:
     """Audit a plan without running it.
 
-    Checks event shapes, token continuity (every move starts where its
-    token rests), causal move paths, guard visibility (each named call
-    point must causally precede the decision point), pairwise exclusivity
-    of guarded branches of the same quantum token, pad-key availability at
-    the pad point, single-use pad keys, pads whose record no later event
-    drops (an encode or a teleport would lose the token's pad stack), and
-    — for localize-exclude plans — that the key part routed against each
+    This is the one place that knows the plan rules; `_run` executes an
+    audited plan and checks none of them.  The audit checks event shapes,
+    token continuity (every move starts where its token rests), causal
+    move paths, guard visibility (each named call point must causally
+    precede the decision point), pairwise exclusivity of guarded branches
+    of the same quantum token, and that a token which has branched takes
+    only further guarded branches from the same resting point (no pad,
+    encode, unguarded move or Bell measurement of it follows).  A Bell
+    measurement's far half (the partner of its second slot) must still be
+    alive, since it receives the teleported state.  An encode needs a
+    qutrit secret, because the ((2,3)) code is a qutrit code.  It checks
+    pad-key availability at the pad point, single-use pad keys, pads whose
+    record no later event drops (an encode or a teleport would lose the
+    token's pad stack), that transfer plans carry no pad, and — for
+    localize-exclude plans — that the key part routed against each
     excluded region never touches it.  Raises EngineError with a specific
     message on the first violation.
     """
@@ -172,6 +180,12 @@ def validate_plan(plan: Plan) -> None:
             raise EngineError(
                 f"{what}: the pad on {label!r} would not be recorded past "
                 "this event")
+
+    def reject_branched(label: str, what: str) -> None:
+        if label in qbranched:
+            raise EngineError(
+                f"{what}: {label!r} took a guarded branch; only further "
+                "guarded branches from its resting point may follow")
 
     def check_guard(guard: dict | None, at: Point, what: str) -> None:
         for nm in _guard_names(guard):
@@ -208,9 +222,13 @@ def validate_plan(plan: Plan) -> None:
                 raise EngineError(f"{what}: the label 'ref' is reserved")
             qpos[ev["label"]] = ev["at"]
         elif op == "encode":
+            if task.secret_dim != 3:
+                raise EngineError(
+                    f"{what}: the 2-of-3 code is a qutrit code")
             if qpos.get(ev["input"]) != ev["at"]:
                 raise EngineError(
                     f"{what}: input does not rest at the encode point")
+            reject_branched(ev["input"], what)
             reject_padded(ev["input"], what)
             del qpos[ev["input"]]
             for out in ev["outputs"]:
@@ -234,9 +252,14 @@ def validate_plan(plan: Plan) -> None:
                 cpaths[part] = [[ev["at"]]]
             splits.append((ev["source"], list(ev["parts"])))
         elif op == "pad":
+            if task.kind == "pit":
+                raise EngineError(
+                    f"{what}: a transfer plan carries no pads; the receiver "
+                    "undoes no keys")
             if qpos.get(ev["token"]) != ev["at"]:
                 raise EngineError(
                     f"{what}: token does not rest at the pad point")
+            reject_branched(ev["token"], what)
             if ev["key"] not in keys:
                 raise EngineError(f"{what}: pad with an unknown key")
             if ev["key"] in used_keys:
@@ -254,6 +277,13 @@ def validate_plan(plan: Plan) -> None:
             if lb not in pair_of:
                 raise EngineError(
                     f"{what}: second slot must be half of a created pair")
+            if pair_of[lb] not in qpos:
+                raise EngineError(
+                    f"{what}: the far half {pair_of[lb]!r} is no longer "
+                    "alive to receive the state")
+            reject_branched(lb, what)
+            if not ev.get("guard"):
+                reject_branched(la, what)
             reject_padded(lb, what)
             reject_padded(pair_of[lb], what)
             if la in padded:
@@ -350,16 +380,13 @@ class _QTok:
     share: int | None = None
     stack: list = field(default_factory=list)
     partner: str | None = None
-    pos: Point | None = None
     paths: list = field(default_factory=list)       # fired polylines
     handovers: list = field(default_factory=list)   # (endpoint, guarded)
-    branched: int = 0
 
 
 @dataclass
 class _CTok:
     label: str
-    pos: Point
     paths: list = field(default_factory=list)
     handovers: list = field(default_factory=list)
 
@@ -384,80 +411,58 @@ def _guard_ok(guard: dict | None, calls: frozenset[str]) -> bool:
 
 def _run(plan: Plan, calls: frozenset[str],
          key_values: dict[str, tuple[int, int]]) -> _Trace:
-    """Execute the schedule for one call pattern and key assignment."""
+    """Execute the schedule for one call pattern and key assignment.
+
+    Assumes a plan that `validate_plan` has accepted: every token an event
+    names is alive and rests at the event's point, so nothing here tracks
+    positions or re-checks a plan rule.  The one check left is numerical:
+    the Bell outcome distribution must be uniform for the (0, 0) collapse
+    to stand for every outcome.
+    """
     d = plan.task.secret_dim
     tr = _Trace()
 
-    def need_q(label: str, at: Point, what: str) -> _QTok:
-        tok = tr.q.get(label)
-        if tok is None or not tok.alive:
-            raise EngineError(
-                f"{what}: quantum token {label!r} is not alive")
-        if tok.pos != at:
-            raise EngineError(
-                f"{what}: token {label!r} rests at {tok.pos}, not {at}")
-        return tok
-
     for i, ev in enumerate(plan.events):
         op = ev["op"]
-        what = f"event {i} ({op})"
         if op == "source":
             lab = ev["label"]
             tr.state = qsim.maximally_entangled(d, ("ref", lab))
-            tr.q[lab] = _QTok(lab, plain=True, pos=ev["at"],
-                              paths=[[ev["at"]]])
+            tr.q[lab] = _QTok(lab, plain=True, paths=[[ev["at"]]])
         elif op == "encode":
-            tok = need_q(ev["input"], ev["at"], what)
-            if d != 3:
-                raise EngineError(
-                    f"{what}: the 2-of-3 code is a qutrit code")
-            tr.state = schemes.code23_encode(tr.state, tok.label,
+            tr.state = schemes.code23_encode(tr.state, ev["input"],
                                              ev["outputs"])
-            tok.alive = False
+            tr.q[ev["input"]].alive = False
             for idx, out in enumerate(ev["outputs"]):
-                tr.q[out] = _QTok(out, share=idx, pos=ev["at"],
-                                  paths=[[ev["at"]]])
+                tr.q[out] = _QTok(out, share=idx, paths=[[ev["at"]]])
         elif op == "create_pair":
             la, lb = ev["labels"]
             pair = qsim.maximally_entangled(d, (la, lb))
             tr.state = pair if tr.state is None else tr.state.tensor(pair)
-            tr.q[la] = _QTok(la, partner=lb, pos=ev["at"],
-                             paths=[[ev["at"]]])
-            tr.q[lb] = _QTok(lb, partner=la, pos=ev["at"],
-                             paths=[[ev["at"]]])
+            tr.q[la] = _QTok(la, partner=lb, paths=[[ev["at"]]])
+            tr.q[lb] = _QTok(lb, partner=la, paths=[[ev["at"]]])
         elif op == "key":
             pass
         elif op == "split":
             tr.splits.append((ev["source"], list(ev["parts"])))
             for part in ev["parts"]:
-                tr.c[part] = _CTok(part, pos=ev["at"], paths=[[ev["at"]]])
+                tr.c[part] = _CTok(part, paths=[[ev["at"]]])
         elif op == "pad":
-            tok = need_q(ev["token"], ev["at"], what)
             a, b = key_values[ev["key"]]
-            tr.state = qsim.apply_weyl(tr.state, tok.label, a, b)
-            tok.stack.append(("pad", ev["key"]))
+            tr.state = qsim.apply_weyl(tr.state, ev["token"], a, b)
+            tr.q[ev["token"]].stack.append(("pad", ev["key"]))
         elif op == "bell":
             if not _guard_ok(ev.get("guard"), calls):
                 continue
             tr.fired.append(i)
             la, lb = ev["pair"]
-            ta = need_q(la, ev["at"], what)
-            tb = need_q(lb, ev["at"], what)
-            if ev.get("guard"):
-                ta.branched += 1
-                if ta.branched > 1:
-                    raise EngineError(
-                        f"{what}: token {la!r} branched twice")
-            ghost = tr.q.get(tb.partner or "")
-            if ghost is None or not ghost.alive:
-                raise EngineError(
-                    f"{what}: measured half has no living partner")
+            ta, tb = tr.q[la], tr.q[lb]
+            ghost = tr.q[tb.partner]
             prob, post = qsim.bell_project(tr.state, la, lb, 0, 0)
             if abs(prob * d * d - 1.0) > _UNIFORMITY_TOL:
                 raise EngineError(
-                    f"{what}: outcome probabilities are not uniform "
-                    f"(p00*d^2 = {prob * d * d:.6f}); collapsing onto one "
-                    "outcome would be unsound")
+                    f"event {i} (bell): outcome probabilities are not "
+                    f"uniform (p00*d^2 = {prob * d * d:.6f}); collapsing "
+                    "onto one outcome would be unsound")
             tr.state = post
             ta.alive = tb.alive = False
             ghost.plain = ta.plain
@@ -469,32 +474,14 @@ def _run(plan: Plan, calls: frozenset[str],
                 tr.fired.append(i)
                 tr.casts.append((ev["value"], ev["at"]))
         elif op == "move":
-            lab, path = ev["token"], ev["path"]
             guard = ev.get("guard")
             if not _guard_ok(guard, calls):
                 continue
             tr.fired.append(i)
-            if lab in tr.q:
-                tok = need_q(lab, path[0], what)
-                if guard:
-                    tok.branched += 1
-                    if tok.branched > 1:
-                        raise EngineError(
-                            f"{what}: token {lab!r} branched twice")
-                tok.pos = path[-1]
-                tok.paths.append(list(path))
-                tok.handovers.append((path[-1], bool(guard)))
-            else:
-                ctk = tr.c[lab]
-                if ctk.pos != path[0]:
-                    raise EngineError(
-                        f"{what}: part {lab!r} is not at the path start")
-                if not guard:
-                    # guarded branches carry copies; only unguarded moves
-                    # advance the resting position
-                    ctk.pos = path[-1]
-                ctk.paths.append(list(path))
-                ctk.handovers.append((path[-1], bool(guard)))
+            lab, path = ev["token"], ev["path"]
+            tok = tr.q[lab] if lab in tr.q else tr.c[lab]
+            tok.paths.append(list(path))
+            tok.handovers.append((path[-1], bool(guard)))
     return tr
 
 

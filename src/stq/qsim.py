@@ -198,14 +198,6 @@ def apply_isometry(state: State, iso: np.ndarray, label: str,
 # --------------------------------------------------------------------
 
 
-def bell_kets(d: int) -> list[np.ndarray]:
-    """The d^2 Bell vectors |Phi_ab> = (W(a,b) x I)|Phi+>, flattened.
-
-    Component [j, k] of |Phi_ab> is W(a,b)[j, k] / sqrt(d)."""
-    return [weyl(d, a, b).reshape(-1) / np.sqrt(d)
-            for a in range(d) for b in range(d)]
-
-
 def bell_project(state: State, label_a: str, label_b: str,
                  a: int, b: int) -> tuple[float, State]:
     """Project slots (label_a, label_b) onto |Phi_ab>; return probability and
@@ -227,30 +219,6 @@ def bell_project(state: State, label_a: str, label_b: str,
     if prob <= 0.0:
         return 0.0, State(new_reg, np.zeros(new_reg.total_dim))
     return prob, State(new_reg, amp.reshape(-1) / np.sqrt(prob))
-
-
-def bell_measure(state: State, label_a: str, label_b: str,
-                 rng: np.random.Generator) -> tuple[tuple[int, int], State]:
-    """Sample a Bell-basis measurement of two equal-dimension slots."""
-    d = state.register.dim(label_a)
-    outcomes = [(a, b) for a in range(d) for b in range(d)]
-    probs = []
-    posts = []
-    for a, b in outcomes:
-        p, post = bell_project(state, label_a, label_b, a, b)
-        probs.append(p)
-        posts.append(post)
-    probs_arr = np.array(probs)
-    probs_arr = probs_arr / probs_arr.sum()
-    k = int(rng.choice(len(outcomes), p=probs_arr))
-    return outcomes[k], posts[k]
-
-
-def teleport_correction(d: int, a: int, b: int) -> np.ndarray:
-    """Unitary that recovers the input on the far half after a Bell outcome
-    (a, b): with the |Phi_ab> convention above the residual is W(a,b)^dagger
-    |psi>, so the correction is W(a,b) itself."""
-    return weyl(d, a, b)
 
 
 # --------------------------------------------------------------------
@@ -361,7 +329,3 @@ def trace_distance(a: Union[State, np.ndarray], b: Union[State, np.ndarray]) -> 
     vals = np.linalg.eigvalsh(diff)
     return float(0.5 * np.sum(np.abs(vals)))
 
-
-def compare(a: Union[State, np.ndarray], b: Union[State, np.ndarray]) -> tuple[float, float]:
-    """(squared Uhlmann fidelity, trace distance) between two states."""
-    return fidelity(a, b), trace_distance(a, b)

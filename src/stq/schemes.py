@@ -1,15 +1,17 @@
 """Coding and encryption layers used by task plans.
 
-Three groups of primitives:
+Two groups of primitives:
 
 * the ((2,3)) qutrit threshold code -- encode isometry plus, for every pair of
   shares, a two-qutrit permutation unitary that concentrates the secret onto
   the pair's first slot and leaves the second slot maximally entangled with
-  the excluded share;
-* the qudit one-time pad (one Weyl pair per qudit) with byte packing for the
-  classical sharing layer; and
-* classical sharing: bitwise XOR and mod-d additive ((m,m)) splits, plus
-  Shamir threshold sharing over GF(257) for the cost comparison.
+  the excluded share; and
+* the qudit one-time pad (one Weyl pair per qudit).
+
+The classical ((m,m)) splits of pad keys are not modelled bit by bit: the
+engine tracks key parts abstractly, and a key counts as known once every
+part of one of its split copies is in view.  `scheme_cost` counts the
+classical key bits the construction spends.
 
 The decode permutations are derived from the encoded basis
 |i> -> (1/sqrt 3) sum_j |j, j+i, j+2i>:  each pair of share values determines
@@ -104,11 +106,6 @@ def chi_state() -> np.ndarray:
 # --------------------------------------------------------------------
 
 
-def qotp_key(rng: np.random.Generator, d: int = 3) -> tuple[int, int]:
-    """Uniform Weyl pair (a, b) in Z_d x Z_d."""
-    return int(rng.integers(d)), int(rng.integers(d))
-
-
 def qotp_encrypt(state: qsim.State, label: str, key: tuple[int, int]) -> qsim.State:
     return qsim.apply_weyl(state, label, key[0], key[1])
 
@@ -117,129 +114,6 @@ def qotp_decrypt(state: qsim.State, label: str, key: tuple[int, int]) -> qsim.St
     d = state.register.dim(label)
     w = qsim.weyl(d, key[0], key[1])
     return qsim.apply_unitary(state, w.conj().T, [label])
-
-
-def key_to_byte(key: tuple[int, int], d: int = 3) -> int:
-    return key[0] * d + key[1]
-
-
-def byte_to_key(byte: int, d: int = 3) -> tuple[int, int]:
-    return byte // d, byte % d
-
-
-# --------------------------------------------------------------------
-# classical ((m,m)) splits
-# --------------------------------------------------------------------
-
-
-def xor_split(data: bytes, m: int, rng: np.random.Generator) -> list[bytes]:
-    """Split a byte string into m shares, all of which XOR back to it."""
-    if m < 1:
-        raise ValueError("need at least one share")
-    shares = [bytes(rng.integers(0, 256, size=len(data)).tolist())
-              for _ in range(m - 1)]
-    last = bytearray(data)
-    for share in shares:
-        for i, byte in enumerate(share):
-            last[i] ^= byte
-    shares.append(bytes(last))
-    return shares
-
-
-def xor_merge(shares: Sequence[bytes]) -> bytes:
-    if not shares:
-        raise ValueError("no shares")
-    out = bytearray(len(shares[0]))
-    for share in shares:
-        if len(share) != len(out):
-            raise ValueError("share length mismatch")
-        for i, byte in enumerate(share):
-            out[i] ^= byte
-    return bytes(out)
-
-
-def modd_split(values: Sequence[int], d: int, m: int,
-               rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """Additive ((m,m)) split of a digit string over Z_d."""
-    if m < 1:
-        raise ValueError("need at least one share")
-    vals = [v % d for v in values]
-    shares = [tuple(int(x) for x in rng.integers(0, d, size=len(vals)))
-              for _ in range(m - 1)]
-    last = list(vals)
-    for share in shares:
-        for i, digit in enumerate(share):
-            last[i] = (last[i] - digit) % d
-    shares.append(tuple(last))
-    return shares
-
-
-def modd_merge(shares: Sequence[Sequence[int]], d: int) -> tuple[int, ...]:
-    if not shares:
-        raise ValueError("no shares")
-    out = [0] * len(shares[0])
-    for share in shares:
-        for i, digit in enumerate(share):
-            out[i] = (out[i] + digit) % d
-    return tuple(out)
-
-
-# --------------------------------------------------------------------
-# Shamir threshold sharing over GF(257)
-# --------------------------------------------------------------------
-
-_P = 257  # smallest prime above 255; byte values embed directly
-
-
-def _eval_poly(coeffs: Sequence[int], x: int) -> int:
-    # Horner, constant term last in coeffs[0]
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % _P
-    return acc
-
-
-def shamir_share(values: Sequence[int], threshold: int, n: int,
-                 rng: np.random.Generator) -> list[tuple[int, tuple[int, ...]]]:
-    """Shamir shares of a digit string (values < 257): n points of random
-    degree-(threshold-1) polynomials with the secrets as constant terms.
-
-    Any `threshold` shares reconstruct; fewer reveal nothing.
-    """
-    if not 1 <= threshold <= n < _P:
-        raise ValueError("need 1 <= threshold <= n < 257")
-    polys = []
-    for v in values:
-        if not 0 <= v < _P:
-            raise ValueError("values must lie in GF(257)")
-        polys.append([v] + [int(rng.integers(_P)) for _ in range(threshold - 1)])
-    return [(x, tuple(_eval_poly(p, x) for p in polys)) for x in range(1, n + 1)]
-
-
-def shamir_reconstruct(shares: Sequence[tuple[int, Sequence[int]]],
-                       threshold: int) -> bytes:
-    """Lagrange interpolation at 0 from at least `threshold` shares."""
-    if len(shares) < threshold:
-        raise ValueError("not enough shares")
-    pts = shares[:threshold]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate share indices")
-    length = len(pts[0][1])
-    out = [0] * length
-    for i, (xi, ys) in enumerate(pts):
-        num, den = 1, 1
-        for j, (xj, _) in enumerate(pts):
-            if i == j:
-                continue
-            num = (num * (-xj)) % _P
-            den = (den * (xi - xj)) % _P
-        lam = num * pow(den, _P - 2, _P) % _P
-        for k in range(length):
-            out[k] = (out[k] + lam * ys[k]) % _P
-    if any(v > 255 for v in out):
-        raise ValueError("shares do not interpolate to byte values")
-    return bytes(out)
 
 
 # --------------------------------------------------------------------

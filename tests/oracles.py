@@ -294,36 +294,6 @@ def oracle_pit_cheat(seed=0):
 
 
 # --------------------------------------------------------------------
-# classical sharing, enumerated
-# --------------------------------------------------------------------
-
-
-def shamir_share_counts(secret, x, p=257):
-    """Distribution of the degree-1 share at abscissa x over every
-    coefficient choice; uniform for x != 0 whatever the secret."""
-    counts = np.zeros(p, dtype=int)
-    for c1 in range(p):
-        counts[(secret + c1 * x) % p] += 1
-    return counts
-
-
-class ScriptedRng:
-    """Duck-typed stand-in for numpy's Generator that replays scripted
-    draws, so additive-split privacy can be checked by enumeration."""
-
-    def __init__(self, draws):
-        self._draws = list(draws)
-
-    def integers(self, low, high=None, size=None):
-        n = 1 if size is None else int(np.prod(size, dtype=int))
-        vals = [self._draws.pop(0) for _ in range(n)]
-        arr = np.asarray(vals, dtype=np.int64)
-        if size is None:
-            return arr[0]
-        return arr.reshape(size)
-
-
-# --------------------------------------------------------------------
 # pad keys, enumerated
 # --------------------------------------------------------------------
 

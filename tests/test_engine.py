@@ -314,6 +314,69 @@ def test_audit_rejects_discontinuous_moves(plan_of):
         validate_plan(tampered(plan, teleport_without_a_channel))
 
 
+def _pad_after_branching(plan):
+    """Pad the last quantum token to branch, at its resting point, after
+    its guarded branches: if one fires, the token no longer rests there."""
+    quantum = {lab for e in plan.events
+               for lab in ([e["label"]] if e["op"] == "source"
+                           else e["outputs"] if e["op"] == "encode"
+                           else e["labels"] if e["op"] == "create_pair"
+                           else [])}
+
+    def pad(events):
+        mv = next(e for e in reversed(events) if e["op"] == "move"
+                  and e.get("guard") and e["token"] in quantum)
+        at = mv["path"][0]
+        events += [{"op": "key", "name": "kx", "at": at},
+                   {"op": "pad", "token": mv["token"], "key": "kx",
+                    "at": at}]
+
+    return tampered(plan, pad)
+
+
+def _measure_an_orphaned_half(plan):
+    """fig12's Bell measurement consumes F0, the far half of F0~; measure
+    F0~ itself before it branches, so no far half is left to receive."""
+    def measure(events):
+        rest = next(e for e in events if e["op"] == "move"
+                    and e["token"] == "F0~")["path"][-1]
+        del events[events.index(next(e for e in events if e.get("guard"))):]
+        events += [{"op": "create_pair", "labels": ["G", "G~"], "at": rest},
+                   {"op": "bell", "pair": ["G", "F0~"], "outcome": "tx",
+                    "at": rest}]
+
+    return tampered(plan, measure)
+
+
+def _encode_a_qubit(plan):
+    return dataclasses.replace(
+        plan, task=dataclasses.replace(plan.task, secret_dim=2))
+
+
+def _pad_a_transfer_share(plan):
+    """The receiver of a transfer would undo the pad without its key."""
+    def pad(events):
+        enc = next(e for e in events if e["op"] == "encode")
+        _pad_after(events, events.index(enc), enc["outputs"][0])
+
+    return tampered(plan, pad)
+
+
+@pytest.mark.parametrize("name, tamper, message", [
+    ("fig12", _pad_after_branching, "only further guarded branches"),
+    ("fig13", _pad_after_branching, "only further guarded branches"),
+    ("fig14", _pad_after_branching, "only further guarded branches"),
+    ("fig12", _measure_an_orphaned_half, "far half 'F0' is no longer alive"),
+    ("fig14", _encode_a_qubit, "qutrit code"),
+    ("fig15", _pad_a_transfer_share, "carries no pads"),
+], ids=["branched-fig12", "branched-fig13", "branched-fig14",
+        "orphaned-fig12", "qubit-fig14", "padded-transfer-fig15"])
+def test_audit_rejects_what_the_interpreter_cannot_run(plan_of, name,
+                                                       tamper, message):
+    with pytest.raises(EngineError, match=message):
+        validate_plan(tamper(plan_of(name)))
+
+
 # ------------------------------------- key scoring against enumeration
 
 

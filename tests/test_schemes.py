@@ -1,21 +1,14 @@
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-
 import numpy as np
 import pytest
 
-from oracles import (ScriptedRng, oracle_chi, oracle_code23_isometry,
-                     qotp_twirl, reduced, shamir_share_counts)
-from stq.qsim import (Register, State, fidelity, haar_state,
-                      maximally_entangled, partial_trace, trace_distance)
-from stq.schemes import (byte_to_key, chi_state, code23_decode,
-                         code23_decode_unitary, code23_encode,
-                         code23_isometry, key_to_byte, modd_merge,
-                         modd_split, qotp_decrypt, qotp_encrypt, qotp_key,
-                         scheme_cost, shamir_reconstruct, shamir_share,
-                         xor_merge, xor_split)
+from oracles import oracle_chi, oracle_code23_isometry, qotp_twirl, reduced
+from stq.qsim import (Register, fidelity, haar_state, maximally_entangled,
+                      partial_trace, trace_distance)
+from stq.schemes import (chi_state, code23_decode, code23_decode_unitary,
+                         code23_encode, code23_isometry, qotp_decrypt,
+                         qotp_encrypt, scheme_cost)
 
 PAIRS = [(0, 1), (0, 2), (1, 2)]
 SHARES = ("x", "y", "z")
@@ -97,9 +90,11 @@ def test_code_shape_errors():
 def test_qotp_round_trip():
     psi = haar_state(Register([("c", 3), ("r", 3)]),
                      np.random.default_rng(2))
-    key = qotp_key(np.random.default_rng(3))
-    back = qotp_decrypt(qotp_encrypt(psi, "c", key), "c", key)
-    assert fidelity(back, psi.vec) > 1 - 1e-12
+    for a in range(3):
+        for b in range(3):
+            enc = qotp_encrypt(psi, "c", (a, b))
+            back = qotp_decrypt(enc, "c", (a, b))
+            assert fidelity(back, psi.vec) > 1 - 1e-12
 
 
 def test_qotp_key_average_scrambles_completely():
@@ -113,115 +108,6 @@ def test_qotp_key_average_scrambles_completely():
     assert trace_distance(avg, np.eye(9) / 9) <= 1e-9
     rho = np.outer(psi.vec, psi.vec.conj())
     assert np.allclose(avg, qotp_twirl(rho, (3, 3), 0), atol=1e-12)
-
-
-def test_key_byte_round_trip():
-    for a in range(3):
-        for b in range(3):
-            assert byte_to_key(key_to_byte((a, b))) == (a, b)
-
-
-def test_qotp_key_is_seeded():
-    assert qotp_key(np.random.default_rng(5)) == qotp_key(
-        np.random.default_rng(5))
-
-
-# ---------------------------------------------------------------- splits
-
-
-def test_xor_round_trip():
-    rng = np.random.default_rng(7)
-    data = bytes(rng.integers(0, 256, size=9).tolist())
-    shares = xor_split(data, 4, rng)
-    assert len(shares) == 4
-    assert xor_merge(shares) == data
-
-
-def test_xor_proper_subsets_reveal_nothing():
-    # enumerate every draw for a one-byte secret split in two: each share
-    # alone takes every value exactly once, independent of the secret
-    for secret in (0x00, 0x5a, 0xff):
-        seen0, seen1 = Counter(), Counter()
-        for r in range(256):
-            shares = xor_split(bytes([secret]), 2, ScriptedRng([r]))
-            seen0[shares[0]] += 1
-            seen1[shares[1]] += 1
-        assert all(c == 1 for c in seen0.values()) and len(seen0) == 256
-        assert all(c == 1 for c in seen1.values()) and len(seen1) == 256
-
-
-def test_modd_round_trip():
-    rng = np.random.default_rng(8)
-    vals = (0, 2, 1, 1)
-    shares = modd_split(vals, 3, 3, rng)
-    assert modd_merge(shares, 3) == vals
-
-
-def test_modd_proper_subsets_reveal_nothing():
-    # all nine draw pairs for a three-way split of one trit: every
-    # two-share marginal is uniform whatever the secret
-    for secret in range(3):
-        margins = {pair: Counter() for pair in PAIRS}
-        for r1, r2 in itertools.product(range(3), repeat=2):
-            shares = modd_split((secret,), 3, 3, ScriptedRng([r1, r2]))
-            for pair in PAIRS:
-                margins[pair][(shares[pair[0]], shares[pair[1]])] += 1
-        for pair in PAIRS:
-            assert all(c == 1 for c in margins[pair].values())
-            assert len(margins[pair]) == 9
-
-
-def test_split_argument_errors():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        xor_split(b"x", 0, rng)
-    with pytest.raises(ValueError):
-        xor_merge([])
-    with pytest.raises(ValueError):
-        xor_merge([b"ab", b"c"])
-    with pytest.raises(ValueError):
-        modd_split((1,), 3, 0, rng)
-
-
-# ---------------------------------------------------------------- shamir
-
-
-def test_shamir_round_trip():
-    rng = np.random.default_rng(9)
-    data = b"causal"
-    shares = shamir_share(data, 3, 5, rng)
-    assert shamir_reconstruct(shares[1:4], 3) == data
-    assert shamir_reconstruct(list(reversed(shares))[:3], 3) == data
-
-
-def test_shamir_needs_threshold_shares():
-    rng = np.random.default_rng(10)
-    shares = shamir_share(b"k", 3, 5, rng)
-    with pytest.raises(ValueError):
-        shamir_reconstruct(shares[:2], 3)
-    with pytest.raises(ValueError):
-        shamir_reconstruct([shares[0], shares[0], shares[1]], 3)
-
-
-def test_shamir_single_share_is_uniform():
-    # enumerate the coefficient: the share at x=1 cycles through the whole
-    # field once, exactly matching the oracle's counts
-    for secret in (0, 7, 200):
-        seen = Counter()
-        for c1 in range(257):
-            shares = shamir_share((secret,), 2, 3, ScriptedRng([c1]))
-            seen[shares[0][1][0]] += 1
-        counts = shamir_share_counts(secret, 1)
-        assert all(seen[v] == counts[v] for v in range(257))
-        assert all(c == 1 for c in seen.values())
-
-
-def test_shamir_argument_errors():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        shamir_share((300,), 2, 3, rng)
-    with pytest.raises(ValueError):
-        shamir_share((1,), 4, 3, rng)
 
 
 # ---------------------------------------------------------------- costs
