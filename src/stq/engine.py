@@ -150,11 +150,14 @@ def validate_plan(plan: Plan) -> None:
     precede the decision point), pairwise exclusivity of guarded branches
     of the same quantum token, and that a token which has branched takes
     only further guarded branches from the same resting point (no pad,
-    encode, unguarded move or Bell measurement of it follows).  A Bell
-    measurement's far half (the partner of its second slot) must still be
-    alive, since it receives the teleported state.  An encode needs a
-    qutrit secret, because the ((2,3)) code is a qutrit code.  It checks
-    pad-key availability at the pad point, single-use pad keys, pads whose
+    encode, unguarded move or Bell measurement of it follows).  Every
+    quantum label a source, encode or created pair introduces is new to the
+    plan and is not the reserved 'ref', since a reused label would name two
+    slots.  A Bell measurement takes two distinct slots, and its far half
+    (the partner of its second slot) must still be alive, since it
+    receives the teleported state.  An encode needs a qutrit secret,
+    because the ((2,3)) code is a qutrit code.  It checks pad-key
+    availability at the pad point, single-use pad keys, pads whose
     record no later event drops (an encode or a teleport would lose the
     token's pad stack), that transfer plans carry no pad, and — for
     localize-exclude plans — that the key part routed against each
@@ -173,7 +176,17 @@ def validate_plan(plan: Plan) -> None:
     pair_of: dict[str, str] = {}
     padded: set[str] = set()           # tokens carrying a pad
     used_keys: set[str] = set()        # keys some pad already applied
+    named: set[str] = set()            # every quantum label so far
     sourced = False
+
+    def claim(labels: Sequence[str], what: str) -> None:
+        for label in labels:
+            if label == "ref":
+                raise EngineError(f"{what}: the label 'ref' is reserved")
+            if label in named:
+                raise EngineError(
+                    f"{what}: quantum label {label!r} is already taken")
+            named.add(label)
 
     def reject_padded(label: str, what: str) -> None:
         if label in padded:
@@ -218,8 +231,7 @@ def validate_plan(plan: Plan) -> None:
             if sourced:
                 raise EngineError(f"{what}: a plan has a single source")
             sourced = True
-            if ev["label"] == "ref":
-                raise EngineError(f"{what}: the label 'ref' is reserved")
+            claim([ev["label"]], what)
             qpos[ev["label"]] = ev["at"]
         elif op == "encode":
             if task.secret_dim != 3:
@@ -231,10 +243,12 @@ def validate_plan(plan: Plan) -> None:
             reject_branched(ev["input"], what)
             reject_padded(ev["input"], what)
             del qpos[ev["input"]]
+            claim(ev["outputs"], what)
             for out in ev["outputs"]:
                 qpos[out] = ev["at"]
         elif op == "create_pair":
             la, lb = ev["labels"]
+            claim([la, lb], what)
             pair_of[la], pair_of[lb] = lb, la
             qpos[la] = qpos[lb] = ev["at"]
         elif op == "key":
@@ -269,6 +283,8 @@ def validate_plan(plan: Plan) -> None:
             padded.add(ev["token"])
         elif op == "bell":
             la, lb = ev["pair"]
+            if la == lb:
+                raise EngineError(f"{what}: measures {la!r} against itself")
             for lab in (la, lb):
                 if qpos.get(lab) != ev["at"]:
                     raise EngineError(

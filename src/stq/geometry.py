@@ -42,6 +42,7 @@ on an escape curve when both sweeps reach it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -526,33 +527,97 @@ def extract_escape_path(
 # ====================================================================
 
 
+# Shewchuk's bound on the rounding error of a 2x2 orientation determinant
+# evaluated in doubles ("Robust geometric predicates", ccwerrboundA): when
+# |det| exceeds it times |left| + |right|, the computed sign is the exact one.
+# The bound assumes no subnormal rounding, so below _ORIENT_TINY it is not
+# trusted.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_ORIENT_TINY = 2.0 ** -960
+
+
+def _orientation(a: tuple[float, float], b: tuple[float, float],
+                 c: tuple[float, float]) -> int:
+    """Exact sign of the cross product (b - a) x (c - a): 1 when c lies
+    left of the line a -> b, -1 when right, 0 on it.  Doubles decide
+    unless the rounding bound says they cannot; then exact rationals do."""
+    left = (b[0] - a[0]) * (c[1] - a[1])
+    right = (b[1] - a[1]) * (c[0] - a[0])
+    det = left - right
+    if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) > _ORIENT_TINY:
+        return 1 if det > 0.0 else -1
+    # imported only here: `fractions` pulls in `decimal`, which would add
+    # to every `import stq` for a branch few calls reach
+    from fractions import Fraction
+    a0, a1 = Fraction(a[0]), Fraction(a[1])
+    det = ((Fraction(b[0]) - a0) * (Fraction(c[1]) - a1)
+           - (Fraction(b[1]) - a1) * (Fraction(c[0]) - a0))
+    return (det > 0) - (det < 0)
+
+
 def segment_box_intersects(
     a: tuple[float, float], b: tuple[float, float], box: Box
 ) -> bool:
     """Does the closed segment a-b intersect the closed (u, v) box?
 
-    Standard slab clipping; handles degenerate boxes and zero-length
-    segments.
+    Exact for any float input, degenerate boxes and zero-length segments
+    included; a box whose low bound exceeds its high one is empty.  By the
+    separating axis theorem the two convex sets are disjoint exactly when
+    their u-ranges or v-ranges are, or when the segment's line has every
+    box corner strictly on one side.  Only the two corners farthest to
+    either side of that line need an orientation.
     """
-    t_lo, t_hi = 0.0, 1.0
-    for (p, q, lo, hi) in (
-        (a[0], b[0], box.u_lo, box.u_hi),
-        (a[1], b[1], box.v_lo, box.v_hi),
-    ):
-        d = q - p
-        if d == 0.0:
-            if p < lo or p > hi:
-                return False
-        else:
-            t1 = (lo - p) / d
-            t2 = (hi - p) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_lo = max(t_lo, t1)
-            t_hi = min(t_hi, t2)
-            if t_lo > t_hi:
-                return False
-    return True
+    if (max(min(a[0], b[0]), box.u_lo) > min(max(a[0], b[0]), box.u_hi)
+            or max(min(a[1], b[1]), box.v_lo) > min(max(a[1], b[1]), box.v_hi)):
+        return False
+    du, dv = b[0] - a[0], b[1] - a[1]
+    if du == 0.0 or dv == 0.0:
+        return True     # an axis-parallel segment: the ranges decide
+    leftmost = (box.u_lo if dv > 0.0 else box.u_hi,
+                box.v_hi if du > 0.0 else box.v_lo)
+    rightmost = (box.u_hi if dv > 0.0 else box.u_lo,
+                 box.v_lo if du > 0.0 else box.v_hi)
+    return (_orientation(a, b, leftmost) >= 0
+            and _orientation(a, b, rightmost) <= 0)
+
+
+def _lightcone_polyline(
+    curve: Sequence[Point],
+) -> list[tuple[float, float]] | None:
+    """The (u, v) vertices of a 1+1 polyline, or None when u or v falls
+    somewhere along it (the curve is not causal)."""
+    uv = [to_lightcone(p) for p in curve]
+    for (u1, v1), (u2, v2) in zip(uv, uv[1:]):
+        if u2 < u1 or v2 < v1:
+            return None
+    return uv
+
+
+def _polyline_touches(uv: Sequence[tuple[float, float]],
+                      boxes: Iterable[Box]) -> bool:
+    """Does the monotone (u, v) polyline `uv` touch any of the boxes?
+
+    Segment k joins uv[k] and uv[k + 1].  Since u never falls along the
+    polyline, the segments whose u-range meets [u_lo, u_hi] are one run of
+    indices, from one before the first vertex with u >= u_lo up to the last
+    vertex with u <= u_hi, and two bisections of the u list find it; the
+    same holds for v.  Only the segments in both runs get the exact
+    `segment_box_intersects`: every other segment lies wholly on one side
+    of the box in u or in v, which that test's range check rejects anyway.
+    A single point is one zero-length segment.
+    """
+    if len(uv) == 1:
+        uv = [uv[0], uv[0]]
+    us = [u for u, _ in uv]
+    vs = [v for _, v in uv]
+    for box in boxes:
+        lo = max(bisect_left(us, box.u_lo), bisect_left(vs, box.v_lo), 1) - 1
+        hi = min(bisect_right(us, box.u_hi), bisect_right(vs, box.v_hi),
+                 len(uv) - 1)
+        for k in range(lo, hi):
+            if segment_box_intersects(uv[k], uv[k + 1], box):
+                return True
+    return False
 
 
 def verify_witness_curve(
@@ -561,46 +626,41 @@ def verify_witness_curve(
     avoiding: _DiamondsLike,
 ) -> bool:
     """Check a claimed witness: monotone in (u, v), touches `through`,
-    touches no obstacle.  Exact inequalities, no tolerance."""
-    if not curve:
+    touches no obstacle.  Exact inequalities, no tolerance.
+
+    A curve that is not monotone is rejected before any box is looked at;
+    a monotone one is tested against each box only along the segments
+    whose u- and v-ranges both reach it (see `_polyline_touches`).
+    """
+    uv = _lightcone_polyline(curve)
+    if uv is None:
         return False
-    uv = [to_lightcone(p) for p in curve]
-    for (u1, v1), (u2, v2) in zip(uv, uv[1:]):
-        if u2 < u1 or v2 < v1:
-            return False
-    segments = list(zip(uv, uv[1:])) if len(uv) > 1 else [(uv[0], uv[0])]
-    for box in _obstacle_boxes(avoiding):
-        for a, b in segments:
-            if segment_box_intersects(a, b, box):
-                return False
-    for box in _target_boxes(through):
-        for a, b in segments:
-            if segment_box_intersects(a, b, box):
-                return True
-    return False
+    return (not _polyline_touches(uv, _obstacle_boxes(avoiding))
+            and _polyline_touches(uv, _target_boxes(through)))
 
 
 def worldline_intersects_region(
     path: Sequence[Point], region: _DiamondsLike, samples_per_segment: int = 64
 ) -> bool:
-    """Does a polyline worldline touch a region?
+    """Does a causal polyline worldline touch a region?
 
-    Exact segment-vs-box in one spatial dimension; dense per-segment sampling
-    (endpoints always included) in higher dimensions.
+    In one spatial dimension the answer is exact: each diamond's (u, v)
+    box gets the exact `segment_box_intersects`, but only along the
+    segments whose u- and v-ranges both reach the box, which a causal
+    worldline's monotone chart lets two bisections per axis find (see
+    `_polyline_touches`).  A 1-D path that is not monotone in (u, v), and
+    so not causal, raises ValueError.  In higher dimensions the path is
+    sampled densely per segment (endpoints always included).
     """
     pts = list(path)
     if not pts:
         return False
     diamonds = _diamonds_of(region)
     if pts[0].dim == 1:
-        uv = [to_lightcone(p) for p in pts]
-        segments = list(zip(uv, uv[1:])) if len(uv) > 1 else [(uv[0], uv[0])]
-        for d in diamonds:
-            box = d.box()
-            for a, b in segments:
-                if segment_box_intersects(a, b, box):
-                    return True
-        return False
+        uv = _lightcone_polyline(pts)
+        if uv is None:
+            raise ValueError("a worldline must be a causal polyline")
+        return _polyline_touches(uv, [d.box() for d in diamonds])
     if any(d.contains(p) for p in pts for d in diamonds):
         return True
     for a, b in zip(pts, pts[1:]):

@@ -11,6 +11,7 @@ interpreter for every key assignment so that only key scoring differs.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -170,6 +171,40 @@ def brute_boxes_linked(boxa, boxb):
             if (u1 <= u2 and v1 <= v2) or (u2 <= u1 and v2 <= v1):
                 return True
     return False
+
+
+# --------------------------------------------------------------------
+# polyline against boxes, every segment against every box
+# --------------------------------------------------------------------
+
+
+def polyline_touches_boxes(uv, boxes):
+    """Some segment of the (u, v) polyline meets some closed box
+    (u_lo, u_hi, v_lo, v_hi).  A lone point is one zero-length segment.
+
+    Slab clipping of every segment against every box, in exact rational
+    arithmetic over the given floats."""
+    segments = list(zip(uv, uv[1:])) or [(uv[0], uv[0])]
+    return any(_segment_meets_box(a, b, box)
+               for box in boxes for a, b in segments)
+
+
+def _segment_meets_box(a, b, box):
+    """Is a + s (b - a) in the box for some s in [0, 1]?  A box whose low
+    bound exceeds its high one on an axis is empty."""
+    s_lo, s_hi = Fraction(0), Fraction(1)
+    for p, q, lo, hi in ((a[0], b[0], box[0], box[1]),
+                         (a[1], b[1], box[2], box[3])):
+        p, q, lo, hi = map(Fraction, (p, q, lo, hi))
+        if p == q:
+            if not lo <= p <= hi:
+                return False
+            continue
+        s1, s2 = (lo - p) / (q - p), (hi - p) / (q - p)
+        if q < p:
+            s1, s2 = s2, s1
+        s_lo, s_hi = max(s_lo, s1), min(s_hi, s2)
+    return s_lo <= s_hi
 
 
 # --------------------------------------------------------------------

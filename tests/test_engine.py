@@ -362,6 +362,35 @@ def _pad_a_transfer_share(plan):
     return tampered(plan, pad)
 
 
+def _create_pair(labels):
+    """Append a created pair, at the point the last move leaves from."""
+    def create(events):
+        at = next(e for e in reversed(events) if e["op"] == "move")["path"][0]
+        events.append({"op": "create_pair", "labels": labels, "at": at})
+
+    return lambda plan: tampered(plan, create)
+
+
+def _measure_one_slot_twice(plan):
+    def measure(events):
+        next(e for e in events if e["op"] == "bell")["pair"] = ["F0", "F0"]
+
+    return tampered(plan, measure)
+
+
+def _share_named_ref(plan):
+    """fig14's third share renamed, in every event, to the reference slot."""
+    def rename(events):
+        for ev in events:
+            for k, v in ev.items():
+                if v == "sh2":
+                    ev[k] = "ref"
+                elif isinstance(v, list):
+                    ev[k] = ["ref" if x == "sh2" else x for x in v]
+
+    return tampered(plan, rename)
+
+
 @pytest.mark.parametrize("name, tamper, message", [
     ("fig12", _pad_after_branching, "only further guarded branches"),
     ("fig13", _pad_after_branching, "only further guarded branches"),
@@ -369,8 +398,15 @@ def _pad_a_transfer_share(plan):
     ("fig12", _measure_an_orphaned_half, "far half 'F0' is no longer alive"),
     ("fig14", _encode_a_qubit, "qutrit code"),
     ("fig15", _pad_a_transfer_share, "carries no pads"),
+    ("fig12", _create_pair(["psi2", "F0~"]), "'F0~' is already taken"),
+    ("fig12", _create_pair(["ref", "F0~"]), "'ref' is reserved"),
+    ("fig12", _create_pair(["F0", "G"]), "'F0' is already taken"),
+    ("fig12", _measure_one_slot_twice, "measures 'F0' against itself"),
+    ("fig14", _share_named_ref, "'ref' is reserved"),
 ], ids=["branched-fig12", "branched-fig13", "branched-fig14",
-        "orphaned-fig12", "qubit-fig14", "padded-transfer-fig15"])
+        "orphaned-fig12", "qubit-fig14", "padded-transfer-fig15",
+        "live-label-pair-fig12", "ref-pair-fig12", "spent-label-pair-fig12",
+        "self-bell-fig12", "ref-share-fig14"])
 def test_audit_rejects_what_the_interpreter_cannot_run(plan_of, name,
                                                        tamper, message):
     with pytest.raises(EngineError, match=message):

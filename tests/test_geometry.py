@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_boxes_linked, brute_causal_leq, face_graph_escape,
-                     raster_escape)
+                     polyline_touches_boxes, raster_escape)
 from stq import geometry
-from stq.geometry import (Diamond, Point, Region, causal_leq, connected,
+from stq.geometry import (Box, Diamond, Point, Region, causal_leq, connected,
                           earliest_point_after, escape_exists,
                           extract_escape_path, from_lightcone, path_is_causal,
-                          point, region_in_future, strictly_earlier,
-                          to_lightcone, verify_witness_curve,
+                          point, region_in_future, segment_box_intersects,
+                          strictly_earlier, to_lightcone, verify_witness_curve,
                           worldline_intersects_region)
 
 # eighths of small integers: exactly representable, so squared intervals
@@ -304,6 +306,104 @@ def test_worldline_sampling_in_the_plane():
     wide = [point(-1, 5, 5), point(3, 5, 5)]
     assert worldline_intersects_region(through, region)
     assert not worldline_intersects_region(wide, region)
+
+
+# Monotone polylines against box lists, for the segment filter in front of
+# the exact segment test.  Coordinates mix exact quarters with tenths, which binary
+# floats round.  Paths repeat vertices and stall on one axis, and boxes take
+# corners and bounds from the path's own vertices, so point boxes, bounds
+# shared with a vertex and edges the path only grazes come up often.
+
+
+def _coord(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-24, 24) / 4
+    return rng.randint(-60, 60) / 10
+
+
+def _axis(rng, n):
+    values = [_coord(rng)]
+    for _ in range(n - 1):
+        values.append(values[-1] if rng.random() < 0.3 else _coord(rng))
+    return sorted(values)
+
+
+def _uv_leq(p, q):
+    (u1, v1), (u2, v2) = to_lightcone(p), to_lightcone(q)
+    return u1 <= u2 and v1 <= v2
+
+
+def monotone_polyline_instance(seed):
+    """A monotone 1+1 polyline, a list of diamonds, and a point target."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    path = []
+    for u, v in zip(_axis(rng, n), _axis(rng, n)):
+        p = from_lightcone(u, v)
+        if not path or _uv_leq(path[-1], p):
+            path.append(p)
+            if rng.random() < 0.15:
+                path.append(p)
+
+    def near(c):
+        return c if rng.random() < 0.5 else _coord(rng)
+
+    diamonds = []
+    for _ in range(rng.randint(0, 6)):
+        a = rng.randrange(len(path))
+        a, b = sorted((a, a if rng.random() < 0.3
+                       else rng.randrange(len(path))))
+        (ua, va), (ub, vb) = to_lightcone(path[a]), to_lightcone(path[b])
+        if rng.random() < 0.4:
+            c, r = path[a], path[b]
+        else:
+            ul, uh = sorted((near(ua), near(ub)))
+            vl, vh = sorted((near(va), near(vb)))
+            c, r = from_lightcone(ul, vl), from_lightcone(uh, vh)
+        if causal_leq(c, r):
+            diamonds.append(Diamond(c, r))
+    target = (rng.choice(path) if rng.random() < 0.5
+              else from_lightcone(_coord(rng), _coord(rng)))
+    return path, diamonds, target
+
+
+def _bounds(d):
+    b = d.box()
+    return (b.u_lo, b.u_hi, b.v_lo, b.v_hi)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=400, deadline=None)
+def test_polyline_filter_matches_every_segment_against_every_box(seed):
+    path, diamonds, target = monotone_polyline_instance(seed)
+    uv = [to_lightcone(p) for p in path]
+    boxes = [_bounds(d) for d in diamonds]
+    assert worldline_intersects_region(path, diamonds) == \
+        polyline_touches_boxes(uv, boxes)
+    k = len(diamonds) // 2
+    hits_obstacle = polyline_touches_boxes(uv, boxes[k:])
+    assert verify_witness_curve(path, diamonds[:k], diamonds[k:]) == (
+        polyline_touches_boxes(uv, boxes[:k]) and not hits_obstacle)
+    tu, tv = to_lightcone(target)
+    assert verify_witness_curve(path, target, diamonds[k:]) == (
+        polyline_touches_boxes(uv, [(tu, tu, tv, tv)]) and not hits_obstacle)
+
+
+def test_segment_box_is_exact_where_doubles_round():
+    # the corner (3.27, 2.71) lies right of the segment's line by less than
+    # double rounding: the orientation determinant rounds to 0, so doubles
+    # alone would report contact
+    a, b = (2.5, 0.4), (3.6, 3.7)
+    box = (3.27, 4.27, 1.71, 2.71)
+    assert not polyline_touches_boxes([a, b], [box])
+    assert not segment_box_intersects(a, b, Box(*box))
+
+
+def test_non_causal_worldline_is_rejected():
+    region = Region("U", (box_diamond(1, 3, 1, 3),))
+    with pytest.raises(ValueError, match="causal"):
+        worldline_intersects_region([from_lightcone(2, 2),
+                                     from_lightcone(4, 1)], region)
 
 
 # ---------------------------------------------------------------- misc
