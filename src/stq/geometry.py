@@ -38,12 +38,20 @@ over that grid, one row at a time, with each row a Python ``int`` bitset:
 forward from the source cell below every breakpoint, and backward, by the
 same sweep on the reversed grid, from the sink cell above them.  A face lies
 on an escape curve when both sweeps reach it.
+
+Each input is charted once.  A `Diamond` stores its (u, v) box on the
+instance the first time `box()` is asked for it.  The escape search behind
+`escape_exists` and `extract_escape_path` is memoized on the value of its
+input, with a fixed bound of 32 entries: the checker, the planner's re-check
+and the planner's witness extraction ask a task's few escape questions in
+turn, and all three then share one grid per question (see `_search`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -87,20 +95,11 @@ class Point:
 
     @property
     def u(self) -> float:
-        self._require_dim1()
-        return self.t - self.x[0]
+        return to_lightcone(self)[0]
 
     @property
     def v(self) -> float:
-        self._require_dim1()
-        return self.t + self.x[0]
-
-    def _require_dim1(self) -> None:
-        if len(self.x) != 1:
-            raise ValueError(
-                "light-cone coordinates are defined for one spatial dimension, "
-                f"got {len(self.x)}"
-            )
+        return to_lightcone(self)[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         xs = ", ".join(repr(c) for c in self.x)
@@ -136,9 +135,18 @@ def strictly_earlier(p: Point, q: Point) -> bool:
     return causal_leq(p, q) and (p.t != q.t or p.x != q.x)
 
 
+def _not_dim1(dim: int) -> ValueError:
+    return ValueError(
+        "light-cone coordinates are defined for one spatial dimension, "
+        f"got {dim}")
+
+
 def to_lightcone(p: Point) -> tuple[float, float]:
     """(t, x) -> (u, v) = (t - x, t + x).  One spatial dimension only."""
-    return (p.u, p.v)
+    if len(p.x) != 1:
+        raise _not_dim1(len(p.x))
+    t, x = p.t, p.x[0]
+    return (t - x, t + x)
 
 
 def from_lightcone(u: float, v: float) -> Point:
@@ -165,6 +173,10 @@ class Diamond:
     c: Point
     r: Point
 
+    # The (u, v) box, stored on the instance by the first `box()` call.  Not
+    # a field, so equality, hashing and repr still see c and r alone.
+    _box = None
+
     def __post_init__(self) -> None:
         if self.c.dim != self.r.dim:
             raise ValueError("diamond corners must share a dimension")
@@ -182,8 +194,19 @@ class Diamond:
         return causal_leq(self.c, p) and causal_leq(p, self.r)
 
     def box(self) -> Box:
-        """The (u, v) box of a 1+1 dimensional diamond."""
-        return Box(self.c.u, self.r.u, self.c.v, self.r.v)
+        """The (u, v) box of a 1+1 dimensional diamond, computed once.
+
+        Each axis spans the two corners' rounded coordinates, low to high.
+        The corners are ordered in (t, x), and u = t - x and v = t + x
+        round separately, so a nearly lightlike diamond can have c.v > r.v;
+        its box is then the hull of both corners, never an inverted one."""
+        box = self._box
+        if box is None:
+            cu, cv = to_lightcone(self.c)
+            ru, rv = to_lightcone(self.r)
+            box = Box(min(cu, ru), max(cu, ru), min(cv, rv), max(cv, rv))
+            object.__setattr__(self, "_box", box)
+        return box
 
 
 @dataclass(frozen=True)
@@ -457,8 +480,29 @@ def _check_dim1(through, avoiding) -> None:
             )
 
 
+def _search_key(through, avoiding):
+    """The arguments of `_search` for an escape question: the point or the
+    target diamonds, then the obstacle diamonds, as hashable values.  A
+    Region and the tuple of its diamonds give the same key."""
+    if not isinstance(through, Point):
+        through = _diamonds_of(through)
+    return through, _diamonds_of(avoiding)
+
+
+# A task asks at most m + n*m distinct escape questions: condition I_B for
+# each of its m excluded collections and condition III for each of those
+# against each of its n authorized ones, and the planner takes n <= 3.
+# `check_task`, `plan_task`'s re-check and the planner's witness extraction
+# ask the same ones in turn, so 32 entries serve every task with up to 8
+# excluded collections from one grid per question.  The bound is fixed, so
+# the memo holds at most 32 grids, each of a size set by its own input.
+@lru_cache(maxsize=32)
 def _search(through, avoiding):
-    """Shared core: the grid and the first hit face, or None."""
+    """Shared core: the grid and the first hit face, or None, for a
+    `_search_key`.  Memoized: keys compare by value, so a hit may return
+    the grid of an equal input (0.0 for -0.0), which every predicate
+    treats alike.  Callers must not modify the returned grid.  A call that
+    raises (input not in one spatial dimension) is not stored."""
     _check_dim1(through, avoiding)
     targets = _target_boxes(through)
     grid = _Grid(targets, _obstacle_boxes(avoiding))
@@ -473,7 +517,7 @@ def escape_exists(through: Union[Point, _DiamondsLike], avoiding: _DiamondsLike)
     Touching an obstacle -- boundary included -- counts as hitting it;
     touching the target counts as passing through it.
     """
-    _, hit = _search(through, avoiding)
+    _, hit = _search(*_search_key(through, avoiding))
     return hit is not None
 
 
@@ -505,6 +549,7 @@ def extract_escape_path(
     re-validated with `verify_witness_curve` before being returned; a path
     that fails raises RuntimeError, an internal error.
     """
+    through, avoiding = _search_key(through, avoiding)
     grid, hit = _search(through, avoiding)
     if hit is None:
         raise ValueError("no escape curve exists")
@@ -586,7 +631,10 @@ def _lightcone_polyline(
 ) -> list[tuple[float, float]] | None:
     """The (u, v) vertices of a 1+1 polyline, or None when u or v falls
     somewhere along it (the curve is not causal)."""
-    uv = [to_lightcone(p) for p in curve]
+    try:
+        uv = [(p.t - x, p.t + x) for p in curve for x, in (p.x,)]
+    except ValueError:  # a point whose x does not unpack to one coordinate
+        raise _not_dim1(next(p.dim for p in curve if p.dim != 1)) from None
     for (u1, v1), (u2, v2) in zip(uv, uv[1:]):
         if u2 < u1 or v2 < v1:
             return None

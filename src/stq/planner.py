@@ -194,13 +194,14 @@ def _dist(xa: tuple, xb: tuple) -> float:
     return sum((p - q) ** 2 for p, q in zip(xa, xb)) ** 0.5
 
 
-def _earliest_entry(region: Region, start: Point
-                    ) -> tuple[Diamond, Point] | None:
+def _earliest_entry(region: Region, start: Point) -> tuple[Diamond, Point]:
     for d in region.diamonds:
         p = earliest_point_after(d, start)
         if p is not None:
             return d, p
-    return None
+    raise RuntimeError("internal error: no diamond of the region lies in "
+                       "the start's future; condition I_A should have "
+                       "caught this")
 
 
 # --------------------------------------------------------------------
@@ -288,7 +289,6 @@ def _plan_localize_exclude(task: TaskSpec) -> Plan:
                            "at": base})
             if m == 0:
                 entry = _earliest_entry(region, start)
-                assert entry is not None
                 events.append({"op": "move", "token": parts[0],
                                "path": [base, start, entry[1]]})
             else:
@@ -314,7 +314,6 @@ def _route_cipher(task: TaskSpec, events: list[Event], notes: list[str],
     if len(targets) == 1:
         la, region = targets[0]
         entry = _earliest_entry(region, start)
-        assert entry is not None  # condition I_A
         events.append({"op": "move", "token": share,
                        "path": [start, entry[1]]})
         notes.append(f"channel {idx}: ciphertext direct to {la}")
@@ -354,7 +353,9 @@ def _route_cipher(task: TaskSpec, events: list[Event], notes: list[str],
                 break
         if witness:
             break
-    assert witness is not None  # condition II
+    if witness is None:
+        raise RuntimeError("internal error: the two regions are not "
+                           "connected; condition II should have caught this")
     dfrom, dto = witness
     pair_base = _base_point([base, dfrom.c])
     ehalf, ghost = f"E{idx}", f"E{idx}~"
@@ -538,7 +539,10 @@ def _plan_two_diamond(task: TaskSpec, names: list[str]) -> Plan:
         if all(_sees(task, nm, other) for other in names):
             decider = nm
             break
-    assert decider is not None  # condition II with both self-links
+    if decider is None:
+        raise RuntimeError("internal error: no diamond's call sees every "
+                           "return; condition II with both self-links "
+                           "should have caught this")
     other = next(nm for nm in names if nm != decider)
     dd = task.diamonds[decider]
     base = _base_point([start, dd.c])

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_boxes_linked, brute_causal_leq, face_graph_escape,
@@ -101,6 +102,64 @@ def test_point_diamond_is_legal():
     assert not d.contains(point(1, 2.25))
 
 
+# Corners in hundredths, which binary floats round, and half the corner
+# pairs on a shared light ray, where u or v of the two corners coincide
+# before rounding and can come out in the wrong order after it.
+
+
+def rounded_diamond_instance(seed):
+    rng = random.Random(seed)
+
+    def coord():
+        return rng.randint(-400, 400) / 100
+
+    if rng.random() < 0.5:
+        u, v, du, dv = coord(), coord(), rng.randint(0, 300) / 100, 0.0
+        if rng.random() < 0.5:
+            du, dv = dv, du
+        c, r = from_lightcone(u, v), from_lightcone(u + du, v + dv)
+    else:
+        t, x = coord(), coord()
+        dt = rng.randint(0, 300) / 100
+        c, r = point(t, x), point(t + dt, x + rng.uniform(-dt, dt))
+    return c, r
+
+
+@given(st.integers(0, 10 ** 6))
+@example(9)     # rounds the corners' u out of order
+@example(321)   # rounds the corners' v out of order
+@settings(max_examples=200, deadline=None)
+def test_box_is_the_hull_of_the_corner_coordinates(seed):
+    c, r = rounded_diamond_instance(seed)
+    if not causal_leq(c, r):
+        return
+    d = Diamond(c, r)
+    (cu, cv), (ru, rv) = to_lightcone(c), to_lightcone(r)
+    assert d.box() == Box(min(cu, ru), max(cu, ru), min(cv, rv), max(cv, rv))
+    assert d.box() is d.box()
+
+
+def test_stored_box_is_not_part_of_a_diamonds_value():
+    warm = Diamond(point(0, 0.1), point(2.3, 1))
+    cold = Diamond(point(0, 0.1), point(2.3, 1))
+    warm.box()
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert [f.name for f in dataclasses.fields(Diamond)] == ["c", "r"]
+
+
+def test_lightcone_chart_needs_one_spatial_dimension():
+    flat = Diamond(point(0, 0, 0), point(2, 1, 0))
+    message = "one spatial dimension, got 2"
+    # box twice: a failed first call stores nothing
+    for convert in (lambda: to_lightcone(flat.c), lambda: flat.c.u,
+                    flat.box, flat.box,
+                    lambda: verify_witness_curve([point(0, 0), flat.r],
+                                                 point(0, 0), [])):
+        with pytest.raises(ValueError, match=message):
+            convert()
+
+
 def test_region_needs_diamonds():
     with pytest.raises(ValueError):
         Region("empty", ())
@@ -155,6 +214,15 @@ def test_escape_blocked_by_covering_diamond():
     target = box_diamond(10, 12, 10, 12)
     cover = box_diamond(9, 13, 9, 13)
     assert not escape_exists(Region("T", (target,)), [cover])
+
+
+def test_obstacles_may_come_from_a_generator():
+    # read once: the dimension check must not use up what the grid and the
+    # witness check are built from
+    cover = box_diamond(-5, 5, -5, 5)
+    assert not escape_exists(from_lightcone(0, 0), (d for d in [cover]))
+    with pytest.raises(ValueError, match="no escape"):
+        extract_escape_path(from_lightcone(0, 0), (d for d in [cover]))
 
 
 def test_escape_rejects_higher_dimensions():
@@ -240,15 +308,19 @@ def grazing_escape_instance(seed):
     return targets, boxes
 
 
+def escape_through(targets):
+    """A point target alone as a point, else a region of box diamonds."""
+    (ul, uh, vl, vh), *more = targets
+    if not more and ul == uh and vl == vh:
+        return from_lightcone(ul, vl)
+    return Region("T", tuple(box_diamond(*t) for t in targets))
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 def test_escape_matches_face_graph_oracle(seed):
     targets, boxes = grazing_escape_instance(seed)
-    (ul, uh, vl, vh), *more = targets
-    if not more and ul == uh and vl == vh:
-        through = from_lightcone(ul, vl)
-    else:
-        through = Region("T", tuple(box_diamond(*t) for t in targets))
+    through = escape_through(targets)
     obstacles = [box_diamond(*b) for b in boxes]
     found = escape_exists(through, obstacles)
     assert found == face_graph_escape(targets, boxes)
@@ -256,6 +328,67 @@ def test_escape_matches_face_graph_oracle(seed):
         path = extract_escape_path(through, obstacles)
         assert path_is_causal(path)
         assert verify_witness_curve(path, through, obstacles)
+
+
+def test_nearly_lightlike_obstacle_is_its_hull_box():
+    # u and v round separately, so these corners give v = 0.2 at the call
+    # and 0.19999999999999998 at the return, an inverted box at the parent
+    d = Diamond(from_lightcone(0.0, 0.2), from_lightcone(0.7, 0.2))
+    (cu, cv), (ru, rv) = to_lightcone(d.c), to_lightcone(d.r)
+    assert cv > rv
+    hull = (min(cu, ru), max(cu, ru), min(cv, rv), max(cv, rv))
+    assert _bounds(d) == hull
+    assert escape_exists(from_lightcone(5, 5), [d]) == face_graph_escape(
+        [(5.0, 5.0, 5.0, 5.0)], [hull])
+    crossing = [from_lightcone(0.3, 0), from_lightcone(0.3, 1)]
+    assert worldline_intersects_region(crossing, [d])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_memoized_search_answers_as_a_fresh_one(seed):
+    targets, boxes = grazing_escape_instance(seed)
+    through = escape_through(targets)
+    obstacles = [box_diamond(*b) for b in boxes]
+    search = geometry._search
+
+    def path():
+        try:
+            return extract_escape_path(through, obstacles)
+        except ValueError:
+            return None
+
+    escape_exists(through, obstacles)
+    warm = path()
+    search.cache_clear()
+    assert path() == warm
+
+    # equal inputs share the entry: a second equal target, and a region's
+    # diamond tuple in place of the region
+    hits = search.cache_info().hits
+    escape_exists(escape_through(targets), tuple(obstacles))
+    assert search.cache_info().hits == hits + 1
+    if isinstance(through, Region):
+        escape_exists(through.diamonds, Region("U", tuple(obstacles))
+                      if obstacles else [])
+        assert search.cache_info().hits == hits + 2
+    assert search.cache_info().currsize == 1
+
+
+def test_memo_is_bounded_and_stores_no_failure():
+    search = geometry._search
+    bound = search.cache_info().maxsize
+    for n in range(bound + 8):
+        escape_exists(from_lightcone(n, n), [box_diamond(1, 21, 9, 13)])
+        assert search.cache_info().currsize <= bound
+    assert search.cache_info().currsize == bound
+    flat = (point(0, 0, 0), [Diamond(point(1, 0, 0), point(2, 0, 0))])
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            escape_exists(*flat)
+        with pytest.raises(ValueError):
+            extract_escape_path(*flat)
+    assert search.cache_info().currsize == bound
 
 
 def test_unverified_witness_is_an_internal_error(monkeypatch):

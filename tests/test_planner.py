@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from stq import planner
 from stq.engine import validate_plan
+from stq.feasibility import Verdict
 from stq.model import AccessStructure, embed_access_structure, parse_task
 from stq.planner import Plan, PlanningError, plan_task
 
@@ -141,6 +143,31 @@ def test_four_collections_are_refused():
     assert plan_task(overlapping_collections(3))
     with pytest.raises(PlanningError, match="up to three"):
         plan_task(overlapping_collections(4))
+
+
+# two diamonds that never see each other: condition II fails with both
+# self-links
+SPACELIKE_SUMMONING = """
+task summoning:single_call_single_return
+dim 1
+secret_dim 3
+start (-5, 0)
+diamond D1 c=(0, -2) r=(2, -2)
+diamond D2 c=(0, 2) r=(2, 2)
+"""
+
+
+@pytest.mark.parametrize("name", ["fig7a", "fig7c", "spacelike-summoning"])
+def test_a_checker_that_vouches_wrongly_is_an_internal_error(
+        monkeypatch, task_of, name):
+    # the planner's own guards on conditions I_A and II raise, under
+    # python -O too, where an assert would be gone and a TypeError follow
+    task = (parse_task(SPACELIKE_SUMMONING) if name == "spacelike-summoning"
+            else task_of(name))
+    monkeypatch.setattr(planner, "check_task",
+                        lambda task: Verdict(True, ()))
+    with pytest.raises(RuntimeError, match="internal error"):
+        plan_task(task)
 
 
 def test_moves_follow_listed_paths(plan_of):
