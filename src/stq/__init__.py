@@ -19,7 +19,7 @@ from .model import (AccessStructure, TaskError, TaskFormatError, TaskSpec,
 from .schemes import CostReport, scheme_cost
 from .feasibility import (Verdict, Violation, check_access_structure,
                           check_task)
-from .planner import Plan, PlanningError, plan_task
+from .planner import Plan, PlanningError, Unsupported, plan_task
 from .engine import (CollectorResult, EngineError, ScenarioResult,
                      SimulationReport, pit_cheat_chi_probability, simulate,
                      validate_plan)
@@ -30,7 +30,7 @@ __all__ = [
     "AccessStructure", "Box", "CollectorResult", "CostReport", "Diamond",
     "EngineError", "Plan", "PlanningError", "Point", "Region",
     "ScenarioResult", "SimulationReport", "TaskError", "TaskFormatError",
-    "TaskSpec", "Verdict", "Violation", "causal_leq",
+    "TaskSpec", "Unsupported", "Verdict", "Violation", "causal_leq",
     "check_access_structure", "check_task", "connected",
     "embed_access_structure", "escape_exists", "extract_escape_path",
     "fixture", "fixture_names", "from_lightcone", "load_task", "parse_task",

@@ -4,7 +4,8 @@ Subcommands: `check` (feasibility verdict), `plan` (event schedule as
 JSON), `simulate` (scenario battery with metrics), `embed` (turn an
 access-structure task into causal diamonds), `cost` (resource table),
 and `render` (spacetime diagram).  Exit status is 0 for feasible/passing,
-2 for infeasible/failing, and 1 for usage errors.
+2 for infeasible/failing, 3 when `plan` or `simulate` meets a task the
+planner does not support, and 1 for usage errors.
 
 Diagrams put x across and t up.  Authorized regions are dashed blue,
 excluded ones dashed red, the start point is a yellow dot; when the task
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -26,11 +28,20 @@ from .feasibility import check_task
 from .geometry import Diamond, Point
 from .model import (TaskError, TaskSpec, embed_access_structure, load_task,
                     serialize_task)
-from .planner import Plan, PlanningError, plan_task
+from .planner import Plan, PlanningError, Unsupported, plan_task
 from .schemes import scheme_cost
 
-# exit code 2 is reserved for "infeasible / failed"; usage errors are 1
+# exit code 2 is reserved for "infeasible / failed" and 3 for
+# "unsupported"; usage errors are 1
 click.UsageError.exit_code = 1
+
+
+def _refuse(exc: PlanningError) -> NoReturn:
+    if isinstance(exc, Unsupported):
+        click.echo(f"unsupported: {exc}")
+        sys.exit(3)
+    click.echo(f"infeasible: {exc}")
+    sys.exit(2)
 
 
 def _load(task_file: str, variant: str | None) -> TaskSpec:
@@ -84,8 +95,7 @@ def plan(task_file: str, variant: str | None, out: str | None) -> None:
     try:
         p = plan_task(task)
     except PlanningError as exc:
-        click.echo(f"infeasible: {exc}")
-        sys.exit(2)
+        _refuse(exc)
     _emit(p.to_json(), out)
     sys.exit(0)
 
@@ -108,8 +118,7 @@ def simulate_cmd(task_file: str, access: str | None, calls: str | None,
         p = plan_task(task)
         report = simulate(p, tol=tol, access=access, calls=call_set)
     except PlanningError as exc:
-        click.echo(f"infeasible: {exc}")
-        sys.exit(2)
+        _refuse(exc)
     except EngineError as exc:
         click.echo(f"audit failure: {exc}")
         sys.exit(2)

@@ -2,10 +2,10 @@
 
 The simulator is exact where exactness is cheap.  Per scenario the control
 layer (guards tested against the call pattern) fixes which events fire; the
-quantum layer then evolves one dense state vector through them, once, with
-every pad key at (0, 0).  No score depends on the key values: a collection
-that holds all of a slot's keys undoes them exactly, and averaging a slot
-over a key the collection lacks is the exact Weyl twirl of that slot.  Bell
+quantum layer then evolves a dense state vector through them with every
+pad key at (0, 0).  No score depends on the key values: a collection that
+holds all of a slot's keys undoes them exactly, and averaging a slot over a
+key the collection lacks is the exact Weyl twirl of that slot.  Bell
 measurements are collapsed onto the (0, 0) outcome: measuring any slot
 against half of a fresh maximally entangled pair gives uniform outcome
 probabilities, and the post-measurement states of the d*d outcomes differ
@@ -13,6 +13,12 @@ only by a known Weyl operator on the far half, which the later correction
 undoes — so every reported fidelity and leak equals its average over
 outcomes.  The engine asserts the uniformity it relies on rather than
 assuming it.
+
+Keys and corrections are Weyl operators carried in each token's record;
+at (0, 0) they are the identity, so `simulate` applies none of them.  What
+remains — the source, encodes, created pairs and fired Bell measurements —
+is the scenario's quantum history, and scenarios that fire the same Bell
+measurements share it: one `simulate` evolves each distinct history once.
 
 Collection semantics differ by task family.  A localize-exclude region
 possesses whatever crosses it: a token is collected if any fired segment
@@ -31,6 +37,7 @@ maximally mixed, averaged over the classical values the collection holds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -425,8 +432,20 @@ def _guard_ok(guard: dict | None, calls: frozenset[str]) -> bool:
             and all(nm not in calls for nm in guard.get("not_called", ())))
 
 
+def _bell_collapse(state: qsim.State, i: int, la: str, lb: str,
+                   d: int) -> qsim.State:
+    prob, post = qsim.bell_project(state, la, lb, 0, 0)
+    if abs(prob * d * d - 1.0) > _UNIFORMITY_TOL:
+        raise EngineError(
+            f"event {i} (bell): outcome probabilities are not "
+            f"uniform (p00*d^2 = {prob * d * d:.6f}); collapsing "
+            "onto one outcome would be unsound")
+    return post
+
+
 def _run(plan: Plan, calls: frozenset[str],
-         key_values: dict[str, tuple[int, int]]) -> _Trace:
+         key_values: dict[str, tuple[int, int]],
+         states: dict | None = None) -> _Trace:
     """Execute the schedule for one call pattern and key assignment.
 
     Assumes a plan that `validate_plan` has accepted: every token an event
@@ -434,26 +453,49 @@ def _run(plan: Plan, calls: frozenset[str],
     positions or re-checks a plan rule.  The one check left is numerical:
     the Bell outcome distribution must be uniform for the (0, 0) collapse
     to stand for every outcome.
+
+    `states` maps a quantum history — the indices of the quantum events
+    applied so far: source, encode, create_pair, a pad with a non-zero
+    key, a fired Bell measurement — to the dense state after it.  Each
+    step is looked up there before it is computed, so runs that share the
+    dict share every state their histories have in common, and a step
+    that raises is not stored.  A shared dict belongs to one plan and one
+    key assignment.  A (0, 0) pad is the identity and is not applied; the
+    token's stack still records it.
     """
     d = plan.task.secret_dim
     tr = _Trace()
+    if states is None:
+        states = {}
+    history: tuple[int, ...] = ()
+
+    def advance(i: int, step) -> None:
+        nonlocal history
+        history += (i,)
+        state = states.get(history)
+        if state is None:
+            state = states[history] = step(tr.state)
+        tr.state = state
 
     for i, ev in enumerate(plan.events):
         op = ev["op"]
         if op == "source":
             lab = ev["label"]
-            tr.state = qsim.maximally_entangled(d, ("ref", lab))
+            advance(i, lambda _: qsim.maximally_entangled(d, ("ref", lab)))
             tr.q[lab] = _QTok(lab, plain=True, paths=[[ev["at"]]])
         elif op == "encode":
-            tr.state = schemes.code23_encode(tr.state, ev["input"],
-                                             ev["outputs"])
+            advance(i, lambda s: schemes.code23_encode(s, ev["input"],
+                                                       ev["outputs"]))
             tr.q[ev["input"]].alive = False
             for idx, out in enumerate(ev["outputs"]):
                 tr.q[out] = _QTok(out, share=idx, paths=[[ev["at"]]])
         elif op == "create_pair":
             la, lb = ev["labels"]
-            pair = qsim.maximally_entangled(d, (la, lb))
-            tr.state = pair if tr.state is None else tr.state.tensor(pair)
+
+            def grow(s):
+                pair = qsim.maximally_entangled(d, (la, lb))
+                return pair if s is None else s.tensor(pair)
+            advance(i, grow)
             tr.q[la] = _QTok(la, partner=lb, paths=[[ev["at"]]])
             tr.q[lb] = _QTok(lb, partner=la, paths=[[ev["at"]]])
         elif op == "key":
@@ -464,7 +506,8 @@ def _run(plan: Plan, calls: frozenset[str],
                 tr.c[part] = _CTok(part, paths=[[ev["at"]]])
         elif op == "pad":
             a, b = key_values[ev["key"]]
-            tr.state = qsim.apply_weyl(tr.state, ev["token"], a, b)
+            if (a, b) != (0, 0):
+                advance(i, lambda s: qsim.apply_weyl(s, ev["token"], a, b))
             tr.q[ev["token"]].stack.append(("pad", ev["key"]))
         elif op == "bell":
             if not _guard_ok(ev.get("guard"), calls):
@@ -473,13 +516,7 @@ def _run(plan: Plan, calls: frozenset[str],
             la, lb = ev["pair"]
             ta, tb = tr.q[la], tr.q[lb]
             ghost = tr.q[tb.partner]
-            prob, post = qsim.bell_project(tr.state, la, lb, 0, 0)
-            if abs(prob * d * d - 1.0) > _UNIFORMITY_TOL:
-                raise EngineError(
-                    f"event {i} (bell): outcome probabilities are not "
-                    f"uniform (p00*d^2 = {prob * d * d:.6f}); collapsing "
-                    "onto one outcome would be unsound")
-            tr.state = post
+            advance(i, lambda s: _bell_collapse(s, i, la, lb, d))
             ta.alive = tb.alive = False
             ghost.plain = ta.plain
             ghost.share = ta.share
@@ -558,17 +595,28 @@ def _collect(trace: _Trace, region: Region, geometric: bool) -> _View:
 # --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _reference(d: int) -> np.ndarray:
+    """The maximally entangled reference pair as a read-only vector."""
+    vec = qsim.maximally_entangled(d).vec
+    vec.flags.writeable = False
+    return vec
+
+
 def _undo(state: qsim.State, tok: _QTok,
           key_values: dict[str, tuple[int, int]]) -> qsim.State:
+    """Undo a token's pads, newest first.
+
+    Its teleport corrections are not applied: the collapsed outcome is
+    (0, 0), whose correction is the identity, and so is a pad with key
+    (0, 0).  Both stay on the stack, which decides the keys and outcomes a
+    view needs.
+    """
     for kind, name in reversed(tok.stack):
-        if kind == "pad":
+        if kind == "pad" and key_values[name] != (0, 0):
             a, b = key_values[name]
             w = qsim.weyl(state.register.dim(tok.label), a, b)
             state = qsim.apply_unitary(state, w.conj().T, [tok.label])
-        else:
-            # the collapsed outcome is (0, 0), whose correction is the
-            # identity; applied anyway so the bookkeeping stays honest
-            state = qsim.apply_weyl(state, tok.label, 0, 0)
     return state
 
 
@@ -602,7 +650,7 @@ def _reconstruct(trace: _Trace, view: _View,
     if secret is None:
         return 0.0, False
     dm = qsim.partial_trace(state, ["ref", secret])
-    return qsim.fidelity(dm, qsim.maximally_entangled(d).vec), True
+    return qsim.fidelity(dm, _reference(d)), True
 
 
 def _exclusion_dm(trace: _Trace, view: _View) -> np.ndarray:
@@ -682,13 +730,17 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
     exact over all key values: a delivery undoes every pad on the slots it
     can use and traces the rest out, and an exclusion is scored through
     the exact Weyl twirl over the keys its view lacks (a collected slot
-    padded with such a key averages to the maximally mixed state).
+    padded with such a key averages to the maximally mixed state).  The
+    scenarios share one table of dense states, so each distinct quantum
+    history (see `_run`) is evolved once per call.
 
     `seed`, `max_key_enumeration` and `key_samples` no longer change the
     result; they are kept so existing callers still bind, and `seed` is
     only echoed in the report.  `access` restricts scoring to the one named
     collection; `calls` restricts the battery to the one given call
-    pattern.  Transfer tasks fix their own scenarios and accept neither.
+    pattern.  If they leave no collection to score, EngineError names the
+    pattern rather than reporting a vacuous PASS.  Transfer tasks fix
+    their own scenarios and accept neither.
     """
     validate_plan(plan)
     task = plan.task
@@ -714,12 +766,19 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
                 f"no authorized or excluded collection labeled {access!r}")
     geometric = task.kind == "localize_exclude"
     battery = ([frozenset(calls)] if calls is not None else _battery(task))
+    if not geometric and not set(battery) & {
+            frozenset(members) for *_, members in deliveries + exclusions}:
+        where = ("the battery" if calls is None
+                 else f"call pattern {_fmt_calls(sorted(set(calls)))}")
+        scope = "" if access is None else f" with access {access!r}"
+        raise EngineError(f"{where} scores no collection{scope}")
     scenarios: list[ScenarioResult] = []
     fids: list[float] = []
     leaks: list[float] = []
+    states: dict = {}
 
     for pattern in battery:
-        trace = _run(plan, pattern, zero)
+        trace = _run(plan, pattern, zero, states)
         res = ScenarioResult(calls=tuple(sorted(pattern)),
                              fired=tuple(trace.fired))
         for role, group in (("deliver", deliveries),
@@ -803,8 +862,10 @@ def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
     fids: list[float] = []
     chis: list[float] = []
 
+    states: dict = {}
+
     for receiver, third, calls in _pit_battery(task):
-        tr = _run(plan, calls, {})
+        tr = _run(plan, calls, {}, states)
         mine = [p for p in pnames if p != third]
         region = Region("receiver", tuple(
             pair_map[p][receiver - 1] for p in mine))
@@ -817,15 +878,14 @@ def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
             raise EngineError(
                 "the receiver did not end up with two distinct code "
                 f"shares in scenario {_fmt_calls(sorted(calls))}")
-        state = tr.state
-        for tok in toks:
-            state = _undo(state, tok, {})
+        # a transfer plan carries no pads, and its teleport corrections
+        # are the identity, so there is nothing to undo before decoding
         state = schemes.code23_decode(
-            state, (toks[0].share, toks[1].share),
+            tr.state, (toks[0].share, toks[1].share),
             toks[0].label, toks[1].label)
         fid = qsim.fidelity(
             qsim.partial_trace(state, ["ref", toks[0].label]),
-            qsim.maximally_entangled(d).vec)
+            _reference(d))
         spare = 3 - toks[0].share - toks[1].share
         spares = [t for t in tr.q.values()
                   if t.alive and t.share == spare]

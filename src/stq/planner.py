@@ -45,7 +45,13 @@ Event = dict
 
 
 class PlanningError(RuntimeError):
-    """The task cannot be planned (infeasible, unsupported, or refused)."""
+    """The task cannot be planned.  Raised as is when the checker rejects
+    the task; every other refusal is an `Unsupported`."""
+
+
+class Unsupported(PlanningError):
+    """A named limitation of the planner: it has no schedule for a task
+    the checker did not reject."""
 
 
 @dataclass
@@ -89,15 +95,15 @@ def plan_task(task: TaskSpec) -> Plan:
         if task.variant == "single_call_single_return":
             return _plan_single_call(task)
         if task.variant == "multiple_call_multiple_return":
-            raise PlanningError(
+            raise Unsupported(
                 "multiple-call summoning is planned as a state_assembly "
                 "task over the same diamonds; rewrite the task kind")
-        raise PlanningError(
+        raise Unsupported(
             "unrestricted summoning admits no finite event schedule here; "
             "the feasibility check is the supported surface")
     if task.kind == "pit":
         return _plan_pit(task)
-    raise PlanningError(
+    raise Unsupported(
         "abstract access structures are planned after embedding; "
         "run embed first")
 
@@ -174,7 +180,7 @@ def _guard_point(task: TaskSpec, start: Point, guard: Guard,
         for p in cands:
             if good(p):
                 return p
-    raise PlanningError(
+    raise Unsupported(
         "no waypoint sees the calls of " + ", ".join(names) +
         " before the release diamond's return")
 
@@ -211,7 +217,7 @@ def _earliest_entry(region: Region, start: Point) -> tuple[Diamond, Point]:
 
 def _plan_localize_exclude(task: TaskSpec) -> Plan:
     if task.dim != 1:
-        raise PlanningError(
+        raise Unsupported(
             "localize-exclude planning routes classical keys along exact "
             "light-cone escape paths and supports one spatial dimension")
     assert task.start is not None
@@ -221,11 +227,11 @@ def _plan_localize_exclude(task: TaskSpec) -> Plan:
     excl = [(task.set_label(s), task.region_union(s)) for s in task.unauthorized]
     n, m = len(auth), len(excl)
     if n > 3:
-        raise PlanningError(
+        raise Unsupported(
             "pairwise channel coding is implemented for up to three "
             "authorized collections; use scheme_cost for the general scaling")
     if n == 3 and task.secret_dim != 3:
-        raise PlanningError(
+        raise Unsupported(
             "three collections ride the 2-of-3 qutrit code: secret_dim "
             "must be 3")
 
@@ -384,11 +390,11 @@ def _plan_assembly(task: TaskSpec) -> Plan:
     excl = [(task.set_label(s), list(s)) for s in task.unauthorized]
     n, m = len(auth), len(excl)
     if n > 3:
-        raise PlanningError(
+        raise Unsupported(
             "pairwise channel coding is implemented for up to three "
             "authorized collections; use scheme_cost for the general scaling")
     if n == 3 and task.secret_dim != 3:
-        raise PlanningError(
+        raise Unsupported(
             "three collections ride the 2-of-3 qutrit code: secret_dim "
             "must be 3")
 
@@ -459,7 +465,7 @@ def _release_rule(task: TaskSpec, auth_names: Sequence[str],
                    if causal_leq(task.diamonds[pe].c, r)]
         if visible:
             return nm, {"called": [nm], "not_called": visible}
-    raise PlanningError(
+    raise Unsupported(
         "no release diamond sees a call distinguishing "
         f"{'+'.join(auth_names)} from {'+'.join(excl_names)}")
 
@@ -476,7 +482,7 @@ def _route_assembly_cipher(task: TaskSpec, events: list[Event],
                                "path": [start, task.diamonds[nm].r]})
                 notes.append(f"channel {idx}: ciphertext direct to {nm}")
                 return
-        raise PlanningError(f"ciphertext cannot reach {la}")
+        raise Unsupported(f"ciphertext cannot reach {la}")
 
     (la, names_a), (lb, names_b) = targets
     for na in names_a:
@@ -496,7 +502,7 @@ def _route_assembly_cipher(task: TaskSpec, events: list[Event],
                          f"calls of {na} and {nb}, handed to whichever is "
                          "called alone")
             return
-    raise PlanningError(
+    raise Unsupported(
         f"no diamond pair of {la} and {lb} admits a common decision point "
         "reachable from the start")
 
@@ -511,7 +517,7 @@ def _plan_single_call(task: TaskSpec) -> Plan:
     names = sorted(task.diamonds)
     n = len(names)
     if n > 3:
-        raise PlanningError(
+        raise Unsupported(
             "single-call summoning planning covers up to three diamonds")
     if n == 2:
         return _plan_two_diamond(task, names)
@@ -523,8 +529,8 @@ def _plan_single_call(task: TaskSpec) -> Plan:
     for order in itertools.permutations(names):
         if _chain_ok(task, order):
             return _plan_chain(task, list(order))
-    raise PlanningError("no rotation or relay order fits; the connectivity "
-                        "verdict should have caught this")
+    raise Unsupported("no rotation or relay order fits; the connectivity "
+                      "verdict should have caught this")
 
 
 def _sees(task: TaskSpec, caller: str, returner: str) -> bool:
@@ -670,8 +676,8 @@ def _plan_chain(task: TaskSpec, order: list[str]) -> Plan:
 def _plan_pit(task: TaskSpec) -> Plan:
     assert task.start is not None
     if task.secret_dim != 3:
-        raise PlanningError("transfer rides the 2-of-3 qutrit code: "
-                            "secret_dim must be 3")
+        raise Unsupported("transfer rides the 2-of-3 qutrit code: "
+                          "secret_dim must be 3")
     start = task.start
     events: list[Event] = [{"op": "source", "label": "psi", "at": start}]
     shares = [f"sh{i}" for i in range(3)]
@@ -682,7 +688,7 @@ def _plan_pit(task: TaskSpec) -> Plan:
     for i, (pname, d1, d2) in enumerate(task.pit_pairs()):
         p = _decision_point(d1, d2, also_after=start)
         if p is None:
-            raise PlanningError(
+            raise Unsupported(
                 f"pair {pname!r} admits no common decision point")
         n1, n2 = f"{pname}1", f"{pname}2"
         events.append({"op": "move", "token": shares[i], "path": [start, p]})

@@ -76,6 +76,18 @@ def test_plan_refuses_infeasible_tasks(runner, task_file):
     assert res.output.startswith("infeasible:")
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_unsupported_tasks_have_their_own_exit_code(runner, task_file,
+                                                    command):
+    # embed3 passes check, but the planner wants embedded diamonds
+    res = runner.invoke(cli, [command, task_file("embed3")])
+    assert res.exit_code == 3
+    assert res.output.startswith("unsupported:")
+    res = runner.invoke(cli, [command, task_file("fig11")])
+    assert res.exit_code == 2
+    assert res.output.startswith("infeasible:")
+
+
 def test_plan_writes_output_file(runner, task_file, tmp_path):
     out = tmp_path / "schedule.json"
     res = runner.invoke(cli, ["plan", task_file("fig12"), "-o", str(out)])
@@ -95,6 +107,16 @@ def test_simulate_single_call_pattern(runner, task_file):
                               "--calls", "Da1,Db1"])
     assert res.exit_code == 0
     assert "calls {Da1, Db1}" in res.output or "Da1" in res.output
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("fig12", "D1,D2"), ("fig12", ""), ("fig13", "Da1")])
+def test_simulate_refuses_a_pattern_that_scores_nothing(runner, task_file,
+                                                        name, calls):
+    res = runner.invoke(cli, ["simulate", task_file(name), "--calls", calls])
+    assert res.exit_code == 2
+    assert "scores no collection" in res.output
+    assert "PASS" not in res.output
 
 
 def test_simulate_single_collection(runner, task_file):

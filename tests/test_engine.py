@@ -4,18 +4,19 @@ import copy
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
 from oracles import enumerated_scenarios
-from stq import engine
+from stq import engine, qsim, schemes
 from stq.engine import (CollectorResult, EngineError, ScenarioResult,
                         SimulationReport, pit_cheat_chi_probability, simulate,
                         validate_plan)
 from stq.geometry import Diamond, causal_leq, point
 from stq.model import (AccessStructure, TaskError, TaskSpec,
                        embed_access_structure, parse_task)
-from stq.planner import PlanningError, plan_task
+from stq.planner import Plan, PlanningError, plan_task
 
 SIMULATED = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
 
@@ -493,6 +494,105 @@ def test_random_scores_match_key_enumeration():
     assert compared >= 50 and keyed >= 20 and failing >= 1
 
 
+# ------------------------------------------------ shared quantum histories
+
+
+@pytest.mark.parametrize("name, patterns", [("fig14", 3), ("fig15", 6)])
+def test_call_patterns_share_one_encode(monkeypatch, plan_of, name,
+                                        patterns):
+    # every pattern of these plans fires the same Bell measurements, so the
+    # engine reaches the module's encode once per simulate
+    encodes = []
+    encode = schemes.code23_encode
+    monkeypatch.setattr(schemes, "code23_encode",
+                        lambda *args: encodes.append(args) or encode(*args))
+    report = simulate(plan_of(name))
+    assert len(report.scenarios) == patterns
+    assert report.passed
+    assert len(encodes) == 1
+
+
+# a planner plan from the random workload: D3's call skips the second
+# teleport, so its history is a prefix of the one D1 and D2 share
+DIVERGING = """
+task summoning:single_call_single_return
+dim 1
+secret_dim 3
+start (-1, 0)
+diamond D1 c=(5, -1) r=(9, -1)
+diamond D2 c=(5, 0) r=(8, 0)
+diamond D3 c=(0, -2) r=(2, -2)
+"""
+
+BRANCHING = """
+task summoning:single_call_single_return
+dim 1
+secret_dim 3
+start (-1, 0)
+diamond D1 c=(0, -1) r=(5, -1)
+diamond D2 c=(0, 1) r=(5, 1)
+"""
+
+
+def _branching_teleports():
+    """A hand-built plan whose two patterns teleport different shares:
+    D1's call sends share 0 through the pair A, D2's share 1 through B.
+    The histories have equal length and differ in their last event, which
+    the planner's plans never do."""
+    task = parse_task(BRANCHING)
+    s, p = task.start, point(2, 0)
+    d1, d2 = task.diamonds["D1"].r, task.diamonds["D2"].r
+    events = [
+        {"op": "source", "label": "psi", "at": s},
+        {"op": "encode", "code": "edge23", "input": "psi",
+         "outputs": ["sh0", "sh1", "sh2"], "at": s},
+        {"op": "create_pair", "labels": ["A", "A~"], "at": s},
+        {"op": "create_pair", "labels": ["B", "B~"], "at": s},
+        *({"op": "move", "token": lab, "path": [s, p]}
+          for lab in ("sh0", "A", "sh1", "B", "sh2")),
+        {"op": "bell", "pair": ["sh0", "A"], "outcome": "ma", "at": p,
+         "guard": {"called": ["D1"]}},
+        {"op": "bell", "pair": ["sh1", "B"], "outcome": "mb", "at": p,
+         "guard": {"called": ["D2"], "not_called": ["D1"]}},
+        {"op": "broadcast", "value": "ma", "at": p},
+        {"op": "broadcast", "value": "mb", "at": p},
+        {"op": "move", "token": "A~", "path": [s, d1]},
+        {"op": "move", "token": "B~", "path": [s, d2]},
+        {"op": "move", "token": "sh2", "path": [p, d1],
+         "guard": {"called": ["D1"]}},
+        {"op": "move", "token": "sh2", "path": [p, d2],
+         "guard": {"called": ["D2"], "not_called": ["D1"]}},
+    ]
+    return Plan("summoning", task, events)
+
+
+@pytest.mark.parametrize("build, patterns, bells", [
+    (lambda: plan_task(parse_task(DIVERGING)), 3, 2),
+    (_branching_teleports, 2, 2),
+], ids=["planner-prefix", "branching-teleports"])
+def test_diverging_histories_score_as_fresh_runs(monkeypatch, build,
+                                                 patterns, bells):
+    plan = build()
+    projections = []
+    project = qsim.bell_project
+    monkeypatch.setattr(qsim, "bell_project",
+                        lambda *args: projections.append(args)
+                        or project(*args))
+    shared = simulate(plan)
+    assert len(projections) == bells
+    histories = {tuple(i for i in sc.fired if plan.events[i]["op"] == "bell")
+                 for sc in shared.scenarios}
+    assert len(shared.scenarios) == patterns and len(histories) == 2
+    assert shared.passed
+
+    run = engine._run
+    monkeypatch.setattr(engine, "_run",
+                        lambda plan, calls, keys, states=None:
+                        run(plan, calls, keys))
+    assert simulate(plan).scenarios == shared.scenarios
+    assert _score_mismatches(plan) == []
+
+
 # ----------------------------------------------------- access and calls
 
 
@@ -516,6 +616,20 @@ def test_calls_restricts_the_battery(plan_of):
 
     with pytest.raises(EngineError, match="unknown call"):
         simulate(plan_of("fig13"), calls=("Dz9",))
+
+
+@pytest.mark.parametrize("name, calls, access", [
+    ("fig12", ("D1", "D2"), None),
+    ("fig12", (), None),
+    ("fig13", ("Da1",), None),
+    ("fig13", ("Da1", "Db1"), "Da2+Db2"),
+], ids=["two-calls", "no-call", "lone-call", "other-collection"])
+def test_a_pattern_that_scores_nothing_is_refused(plan_of, name, calls,
+                                                  access):
+    pattern = "{" + ", ".join(calls) + "}"
+    with pytest.raises(EngineError, match=re.escape(
+            f"call pattern {pattern} scores no collection")):
+        simulate(plan_of(name), calls=calls, access=access)
 
 
 def test_localization_has_no_call_patterns(plan_of):

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
+import stq
 from stq import planner
 from stq.engine import validate_plan
 from stq.feasibility import Verdict
 from stq.model import AccessStructure, embed_access_structure, parse_task
-from stq.planner import Plan, PlanningError, plan_task
+from stq.planner import Plan, PlanningError, Unsupported, plan_task
 
 FEASIBLE = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
 INFEASIBLE = ["fig7a", "fig7b", "fig7c", "fig7d", "fig11"]
@@ -27,8 +28,9 @@ def test_feasible_fixtures_plan_and_audit_clean(task_of, plan_of, name):
 
 @pytest.mark.parametrize("name", INFEASIBLE)
 def test_infeasible_fixtures_are_refused_with_the_verdict(task_of, name):
-    with pytest.raises(PlanningError, match="checker rejected"):
+    with pytest.raises(PlanningError, match="checker rejected") as refusal:
         plan_task(task_of(name))
+    assert not isinstance(refusal.value, Unsupported)
 
 
 @pytest.mark.parametrize("name", FEASIBLE)
@@ -48,8 +50,13 @@ def test_plan_lines(plan_of):
     assert all(line.startswith("  ") for line in lines[1:])
 
 
+def test_unsupported_is_exported_as_a_planning_error():
+    assert stq.Unsupported is Unsupported
+    assert issubclass(Unsupported, PlanningError)
+
+
 def test_abstract_structure_must_be_embedded_first(task_of):
-    with pytest.raises(PlanningError, match="embed"):
+    with pytest.raises(Unsupported, match="embed"):
         plan_task(task_of("embed3"))
     base = task_of("embed3")
     s = AccessStructure(base.parties, base.authorized, base.unauthorized)
@@ -61,13 +68,13 @@ def test_multiple_call_variant_redirects_to_assembly(task_of):
     task = dataclasses.replace(task_of("fig12"),
                                variant="multiple_call_multiple_return",
                                authorized=(("D1", "D2"),))
-    with pytest.raises(PlanningError, match="state_assembly"):
+    with pytest.raises(Unsupported, match="state_assembly"):
         plan_task(task)
 
 
 def test_unrestricted_variant_is_check_only(task_of):
     task = dataclasses.replace(task_of("fig12"), variant="unrestricted")
-    with pytest.raises(PlanningError, match="feasibility check"):
+    with pytest.raises(Unsupported, match="feasibility check"):
         plan_task(task)
 
 
@@ -82,7 +89,7 @@ diamond D3 c=(30, 0) r=(32, 0)
 
 
 def test_four_diamond_summoning_is_refused():
-    with pytest.raises(PlanningError, match="up to three diamonds"):
+    with pytest.raises(Unsupported, match="up to three diamonds"):
         plan_task(parse_task(CHAIN4))
 
 
@@ -94,12 +101,12 @@ def test_two_diamond_relay_is_dimension_agnostic(task_of):
 def test_ring_of_three_needs_a_qutrit(task_of):
     # the rotation trick is tied to the 2-of-3 code; with spacelike returns
     # no relay ordering exists either, so planning must give up
-    with pytest.raises(PlanningError):
+    with pytest.raises(Unsupported):
         plan_task(dataclasses.replace(task_of("fig14"), secret_dim=2))
 
 
 def test_three_collections_need_a_qutrit(task_of):
-    with pytest.raises(PlanningError, match="secret_dim"):
+    with pytest.raises(Unsupported, match="secret_dim"):
         plan_task(dataclasses.replace(task_of("triangle"), secret_dim=2))
 
 
@@ -109,7 +116,7 @@ def test_two_collections_carry_any_dimension(task_of):
 
 
 def test_transfer_plan_needs_a_qutrit(task_of):
-    with pytest.raises(PlanningError):
+    with pytest.raises(Unsupported):
         plan_task(dataclasses.replace(task_of("fig15"), secret_dim=2))
 
 
@@ -125,7 +132,7 @@ authorized A
 
 
 def test_planar_localization_is_refused():
-    with pytest.raises(PlanningError, match="one spatial dimension"):
+    with pytest.raises(Unsupported, match="one spatial dimension"):
         plan_task(parse_task(PLANAR))
 
 
@@ -141,7 +148,7 @@ def overlapping_collections(n):
 
 def test_four_collections_are_refused():
     assert plan_task(overlapping_collections(3))
-    with pytest.raises(PlanningError, match="up to three"):
+    with pytest.raises(Unsupported, match="up to three"):
         plan_task(overlapping_collections(4))
 
 
