@@ -157,7 +157,9 @@ def validate_plan(plan: Plan) -> None:
     precede the decision point), pairwise exclusivity of guarded branches
     of the same quantum token, and that a token which has branched takes
     only further guarded branches from the same resting point (no pad,
-    encode, unguarded move or Bell measurement of it follows).  Every
+    encode, unguarded move or Bell measurement of it follows).  A guarded
+    Bell measurement is such a branch of its first slot, which stays at
+    rest there, since the slot is only measured when the guard fires.  Every
     quantum label a source, encode or created pair introduces is new to the
     plan and is not the reserved 'ref', since a reused label would name two
     slots.  A Bell measurement takes two distinct slots, and its far half
@@ -316,7 +318,9 @@ def validate_plan(plan: Plan) -> None:
                 note_qguard(la, ev["guard"], what)
                 qbranched.add(la)
             outcomes[ev["outcome"]] = ev["at"]
-            del qpos[la], qpos[lb]
+            del qpos[lb]
+            if not ev.get("guard"):
+                del qpos[la]
         elif op == "broadcast":
             if ev["value"] not in outcomes:
                 raise EngineError(

@@ -14,6 +14,11 @@ Four geometric conditions cover every task family here:
 
 Summoning without call restrictions needs the stronger B1: in every
 subset of diamonds some member's return sees every call in the subset.
+B1 holds exactly when the diamonds can be peeled one at a time, each
+peeled member's return seeing every call still left, so it is decided by
+peeling rather than by walking all 2^n subsets.  When peeling stalls, the
+diamonds left form a violating subset, and that one set is the B1 witness;
+other violating subsets are not listed.
 
 A verdict lists every violated condition with the sets that witness it,
 in a fixed order, so infeasibility is always explained.
@@ -24,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import (Diamond, Point, Region, causal_leq, escape_exists,
-                       region_in_future)
+from .geometry import causal_leq, connected, escape_exists, region_in_future
 from .model import AccessStructure, TaskError, TaskSpec
 
 _CONDITION_RANK = {"I_A": 0, "I_B": 1, "II": 2, "III": 3, "B1": 4}
@@ -112,7 +116,8 @@ def _check_localize_exclude(task: TaskSpec) -> Verdict:
         for j in range(i + 1, len(auth)):
             la, ra = auth[i]
             lb, rb = auth[j]
-            if not _regions_connected(ra, rb):
+            if not any(connected(da, db)
+                       for da in ra.diamonds for db in rb.diamonds):
                 out.append(Violation(
                     "II", (la, lb),
                     "the two regions are everywhere spacelike separated"))
@@ -126,14 +131,6 @@ def _check_localize_exclude(task: TaskSpec) -> Verdict:
                     "trapped by the excluded set"))
 
     return _verdict(out)
-
-
-def _regions_connected(a: Region, b: Region) -> bool:
-    for da in a.diamonds:
-        for db in b.diamonds:
-            if causal_leq(da.c, db.r) or causal_leq(db.c, da.r):
-                return True
-    return False
 
 
 # --------------------------------------------------------------------
@@ -159,7 +156,8 @@ def _check_assembly(task: TaskSpec) -> Verdict:
         for j in range(i + 1, len(auth)):
             la, sa = auth[i]
             lb, sb = auth[j]
-            if not _sets_connected(task, sa, sb):
+            if not any(connected(task.diamonds[na], task.diamonds[nb])
+                       for na in sa for nb in sb):
                 out.append(Violation(
                     "II", (la, lb),
                     "no diamond of either collection can signal any diamond "
@@ -174,15 +172,6 @@ def _check_assembly(task: TaskSpec) -> Verdict:
                     "member's return sees a distinguishing call"))
 
     return _verdict(out)
-
-
-def _sets_connected(task: TaskSpec, a: Sequence[str], b: Sequence[str]) -> bool:
-    for na in a:
-        for nb in b:
-            da, db = task.diamonds[na], task.diamonds[nb]
-            if causal_leq(da.c, db.r) or causal_leq(db.c, da.r):
-                return True
-    return False
 
 
 def _exclusion_separable(task: TaskSpec, auth: Sequence[str],
@@ -223,27 +212,18 @@ def _check_single_call(task: TaskSpec) -> Verdict:
                 "the return point cannot receive anything from the start"))
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            da, db = task.diamonds[names[i]], task.diamonds[names[j]]
-            if not (causal_leq(da.c, db.r) or causal_leq(db.c, da.r)):
+            if not connected(task.diamonds[names[i]],
+                             task.diamonds[names[j]]):
                 out.append(Violation(
                     "II", (names[i], names[j]),
                     "neither diamond's call can reach the other's return"))
     return _verdict(out)
 
 
-_UNRESTRICTED_LIMIT = 20
-
-
 def _check_unrestricted(task: TaskSpec) -> Verdict:
     assert task.start is not None
     start = task.start
     names = list(task.diamonds)
-    n = len(names)
-    if n > _UNRESTRICTED_LIMIT:
-        raise TaskError(
-            f"unrestricted summoning over {n} diamonds needs all 2^{n} "
-            "call patterns checked; refusing beyond "
-            f"{_UNRESTRICTED_LIMIT} diamonds")
     out: list[Violation] = []
     for nm in names:
         if not causal_leq(start, task.diamonds[nm].r):
@@ -259,20 +239,19 @@ def _check_unrestricted(task: TaskSpec) -> Verdict:
             if causal_leq(task.diamonds[other].c, r):
                 mask |= 1 << j
         reach.append(mask)
-    for mask in range(1, 1 << n):
-        served = False
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if mask & ~reach[i] == 0:
-                served = True
-                break
-        if not served:
-            subset = tuple(names[i] for i in range(n) if mask >> i & 1)
+    # Peel a member whose return sees every call left.  A member that sees
+    # a set sees each of its subsets, so the peel order does not matter.
+    left = (1 << len(names)) - 1
+    while left:
+        peel = next((i for i in range(len(names))
+                     if left >> i & 1 and left & ~reach[i] == 0), None)
+        if peel is None:
+            subset = tuple(nm for i, nm in enumerate(names) if left >> i & 1)
             out.append(Violation(
                 "B1", subset,
                 "no member's return sees every call in this subset"))
+            break
+        left &= ~(1 << peel)
     return _verdict(out)
 
 

@@ -12,8 +12,8 @@ In one spatial dimension the light-cone chart
 turns that order into the product order on R^2: future-directed causal curves
 are exactly the monotone nondecreasing paths in (u, v), and causal diamonds
 are closed axis-aligned boxes.  Every decision procedure in this module
-(escape, witness extraction) works in that chart and is exact -- no sampling,
-no tolerance bands.
+(escape, witness extraction, worldline contact) works in that chart and is
+exact -- no sampling, no tolerance bands.
 
 The escape decision collects all obstacle and target bounds into a breakpoint
 grid and decides reachability on the *face graph* of the grid: nodes are the
@@ -688,39 +688,24 @@ def verify_witness_curve(
 
 
 def worldline_intersects_region(
-    path: Sequence[Point], region: _DiamondsLike, samples_per_segment: int = 64
+    path: Sequence[Point], region: _DiamondsLike
 ) -> bool:
-    """Does a causal polyline worldline touch a region?
+    """Does a causal polyline worldline touch a region?  One spatial
+    dimension only; any other dimension raises ValueError.
 
-    In one spatial dimension the answer is exact: each diamond's (u, v)
-    box gets the exact `segment_box_intersects`, but only along the
-    segments whose u- and v-ranges both reach the box, which a causal
-    worldline's monotone chart lets two bisections per axis find (see
-    `_polyline_touches`).  A 1-D path that is not monotone in (u, v), and
-    so not causal, raises ValueError.  In higher dimensions the path is
-    sampled densely per segment (endpoints always included).
+    The answer is exact: each diamond's (u, v) box gets the exact
+    `segment_box_intersects`, but only along the segments whose u- and
+    v-ranges both reach the box, which a causal worldline's monotone chart
+    lets two bisections per axis find (see `_polyline_touches`).  A path
+    that is not monotone in (u, v), and so not causal, raises ValueError.
     """
     pts = list(path)
     if not pts:
         return False
-    diamonds = _diamonds_of(region)
-    if pts[0].dim == 1:
-        uv = _lightcone_polyline(pts)
-        if uv is None:
-            raise ValueError("a worldline must be a causal polyline")
-        return _polyline_touches(uv, [d.box() for d in diamonds])
-    if any(d.contains(p) for p in pts for d in diamonds):
-        return True
-    for a, b in zip(pts, pts[1:]):
-        for k in range(1, samples_per_segment):
-            f = k / samples_per_segment
-            q = Point(
-                a.t + f * (b.t - a.t),
-                tuple(ax + f * (bx - ax) for ax, bx in zip(a.x, b.x)),
-            )
-            if any(d.contains(q) for d in diamonds):
-                return True
-    return False
+    uv = _lightcone_polyline(pts)
+    if uv is None:
+        raise ValueError("a worldline must be a causal polyline")
+    return _polyline_touches(uv, [d.box() for d in _diamonds_of(region)])
 
 
 def path_is_causal(path: Sequence[Point]) -> bool:

@@ -87,21 +87,12 @@ class TaskSpec:
         """Canonical label of a name set, used in verdicts and plans."""
         return "+".join(names)
 
-    def authorized_labels(self) -> list[str]:
-        return [self.set_label(s) for s in self.authorized]
-
-    def unauthorized_labels(self) -> list[str]:
-        return [self.set_label(s) for s in self.unauthorized]
-
     def region_union(self, names: Sequence[str]) -> Region:
         """Union of named regions, for localize-exclude name sets."""
         ds: list[Diamond] = []
         for n in names:
             ds.extend(self.regions[n].diamonds)
         return Region(self.set_label(names), tuple(ds))
-
-    def named_diamonds(self, names: Sequence[str]) -> list[tuple[str, Diamond]]:
-        return [(n, self.diamonds[n]) for n in names]
 
     def access_structure(self) -> AccessStructure:
         if self.kind != "access_structure":

@@ -519,57 +519,22 @@ def _plan_single_call(task: TaskSpec) -> Plan:
     if n > 3:
         raise Unsupported(
             "single-call summoning planning covers up to three diamonds")
-    if n == 2:
-        return _plan_two_diamond(task, names)
-    if n == 1:
-        return _plan_chain(task, names)
-    rot = _plan_rotation(task, names)
-    if rot is not None:
-        return rot
+    if n == 3:
+        rot = _plan_rotation(task, names)
+        if rot is not None:
+            return rot
     for order in itertools.permutations(names):
         if _chain_ok(task, order):
             return _plan_chain(task, list(order))
-    raise Unsupported("no rotation or relay order fits; the connectivity "
-                      "verdict should have caught this")
+    if n == 3 and task.secret_dim != 3:
+        raise Unsupported("the three diamonds only fit a ring, which rides "
+                          "the 2-of-3 qutrit code: secret_dim must be 3")
+    raise RuntimeError("internal error: no relay order or ring fits; "
+                       "condition II should have caught this")
 
 
 def _sees(task: TaskSpec, caller: str, returner: str) -> bool:
     return causal_leq(task.diamonds[caller].c, task.diamonds[returner].r)
-
-
-def _plan_two_diamond(task: TaskSpec, names: list[str]) -> Plan:
-    assert task.start is not None
-    start = task.start
-    decider = None
-    for nm in names:
-        if all(_sees(task, nm, other) for other in names):
-            decider = nm
-            break
-    if decider is None:
-        raise RuntimeError("internal error: no diamond's call sees every "
-                           "return; condition II with both self-links "
-                           "should have caught this")
-    other = next(nm for nm in names if nm != decider)
-    dd = task.diamonds[decider]
-    base = _base_point([start, dd.c])
-    events: list[Event] = [
-        {"op": "source", "label": "psi", "at": start},
-        {"op": "create_pair", "labels": ["F0", "F0~"], "at": base},
-        {"op": "move", "token": "F0", "path": [base, start]},
-        {"op": "move", "token": "F0~", "path": [base, dd.c]},
-        {"op": "bell", "pair": ["psi", "F0"], "outcome": "t0", "at": start},
-        {"op": "broadcast", "value": "t0", "at": start},
-        {"op": "move", "token": "F0~", "path": [dd.c, dd.r],
-         "guard": {"called": [decider]}},
-        {"op": "move", "token": "F0~",
-         "path": [dd.c, task.diamonds[other].r],
-         "guard": {"not_called": [decider]}},
-    ]
-    notes = [f"state teleported onto a half-pair waiting at {decider}'s "
-             "call point, which sees both returns",
-             f"called there: delivered at {decider}'s return; otherwise "
-             f"carried to {other}'s return"]
-    return Plan("summoning", task, events, notes)
 
 
 def _plan_rotation(task: TaskSpec, names: list[str]) -> Plan | None:

@@ -243,38 +243,12 @@ def depolarize_slot(dm: np.ndarray, dims: Sequence[int], idx: int) -> np.ndarray
     """Exact full-Weyl-twirl of one slot of a density matrix: the slot is
     replaced by I/d (the Weyl operators form a unitary 1-design)."""
     dims = tuple(dims)
-    d = dims[idx]
     n = len(dims)
-    arr = dm.reshape(dims + dims)
-    # trace out slot idx (both sides), then tensor I/d back in its place.
-    traced = np.trace(arr, axis1=idx, axis2=n + idx)
-    rest = [dd for k, dd in enumerate(dims) if k != idx]
-    r = int(np.prod(rest, dtype=np.int64)) if rest else 1
-    traced = traced.reshape(r, r)
-    eye = np.eye(d) / d
-    # rebuild with the identity slot in position idx
-    rest_dims = rest
-    out = np.tensordot(eye, traced.reshape(rest_dims + rest_dims) if rest_dims
-                       else traced.reshape(()), axes=0)
-    # out axes: (d, d, rest..., rest...) -> interleave back
-    if rest_dims:
-        nr = len(rest_dims)
-        out = out.reshape((d, d) + tuple(rest_dims) + tuple(rest_dims))
-        # target axis order: rows = dims with idx slot, cols likewise
-        row_axes = list(range(2, 2 + nr))
-        col_axes = list(range(2 + nr, 2 + 2 * nr))
-        order = []
-        ri = 0
-        for k in range(n):
-            order.append(0 if k == idx else row_axes[ri])
-            if k != idx:
-                ri += 1
-        ci = 0
-        for k in range(n):
-            order.append(1 if k == idx else col_axes[ci])
-            if k != idx:
-                ci += 1
-        out = np.transpose(out, order)
+    traced = np.trace(dm.reshape(dims + dims), axis1=idx, axis2=n + idx)
+    # axes (slot row, slot col, rest rows..., rest cols...), then the slot's
+    # two axes back to their places
+    out = np.multiply.outer(np.eye(dims[idx]) / dims[idx], traced)
+    out = np.moveaxis(out, (0, 1), (idx, n + idx))
     total = int(np.prod(dims, dtype=np.int64))
     return out.reshape(total, total)
 

@@ -33,8 +33,6 @@ from . import qsim
 # ((2,3)) qutrit code
 # --------------------------------------------------------------------
 
-CODE_D = 3
-
 
 def code23_isometry() -> np.ndarray:
     """Encoding isometry C^3 -> C^27: |i> -> (1/sqrt 3) sum_j |j, j+i, j+2i>."""

@@ -208,6 +208,22 @@ def _segment_meets_box(a, b, box):
 
 
 # --------------------------------------------------------------------
+# unrestricted summoning: condition B1 by walking every subset
+# --------------------------------------------------------------------
+
+
+def b1_violations(reach):
+    """Every subset of diamonds in which no member's return sees every call
+    of the subset (condition B1 of unrestricted summoning fails there), as
+    ascending index tuples.  `reach[i]` is the set of diamonds whose call
+    the i-th diamond's return sees."""
+    n = len(reach)
+    return [sub for size in range(1, n + 1)
+            for sub in itertools.combinations(range(n), size)
+            if not any(set(sub) <= reach[i] for i in sub)]
+
+
+# --------------------------------------------------------------------
 # Weyl operators and the one-time-pad twirl
 # --------------------------------------------------------------------
 

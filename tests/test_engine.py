@@ -593,6 +593,41 @@ def test_diverging_histories_score_as_fresh_runs(monkeypatch, build,
     assert _score_mismatches(plan) == []
 
 
+def _reorder_relay(bell_first, clash=False):
+    """DIVERGING's relay plan, whose station at D3 branches F0~ twice: a
+    guarded move (stay for D3's call) and a guarded Bell measurement (pass
+    it on otherwise).  `bell_first` lists the measurement first; `clash`
+    gives the move the measurement's guard, so both can fire together."""
+    def mutate(events):
+        mv = next(e for e in events if e["op"] == "move"
+                  and e["token"] == "F0~" and e.get("guard"))
+        bell = next(e for e in events if e["op"] == "bell" and e.get("guard"))
+        assert bell["pair"][0] == "F0~"
+        if bell_first:
+            events.remove(mv)
+            events.insert(events.index(bell) + 1, mv)
+        if clash:
+            mv["guard"] = copy.deepcopy(bell["guard"])
+
+    return tampered(plan_task(parse_task(DIVERGING)), mutate)
+
+
+@pytest.mark.parametrize("bell_first", [False, True])
+def test_a_guarded_bell_leaves_its_slot_to_exclusive_branches(bell_first):
+    # the measured slot stays put when the guard does not fire, so the
+    # audit accepts the two exclusive branches in either order
+    plan = _reorder_relay(bell_first)
+    validate_plan(plan)
+    report = simulate(plan)
+    assert report.passed
+    baseline = simulate(plan_task(parse_task(DIVERGING)))
+    assert ([(sc.calls, sc.collectors) for sc in report.scenarios]
+            == [(sc.calls, sc.collectors) for sc in baseline.scenarios])
+
+    with pytest.raises(EngineError, match="cannot be copied"):
+        validate_plan(_reorder_relay(bell_first, clash=True))
+
+
 # ----------------------------------------------------- access and calls
 
 

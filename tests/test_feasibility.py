@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import b1_violations, brute_causal_leq
 from stq.feasibility import Verdict, check_access_structure, check_task
 from stq.model import (AccessStructure, TaskError, embed_access_structure,
                        fixture, parse_task)
@@ -58,6 +60,60 @@ def test_three_diamond_ring_fails_only_under_unrestricted_calls(task_of):
     assert not verdict.feasible
     assert [(v.condition, v.subject) for v in verdict.violations] == [
         ("B1", ("D0", "D1", "D2"))]
+
+
+def _coords(p):
+    return ", ".join(str(v) for v in p)
+
+
+def unrestricted_task(corners):
+    """Unrestricted summoning over diamonds D0, D1, ... with the given
+    (call, return) coordinate tuples; the start sees every return."""
+    dim = len(corners[0][0]) - 1
+    lines = ["task summoning:unrestricted", f"dim {dim}",
+             f"start ({_coords((-100,) + (0,) * dim)})"]
+    lines += [f"diamond D{i} c=({_coords(c)}) r=({_coords(r)})"
+              for i, (c, r) in enumerate(corners)]
+    return parse_task("\n".join(lines) + "\n")
+
+
+def random_corners(rng):
+    dim, n = rng.randint(1, 2), rng.randint(1, 12)
+    corners = []
+    for _ in range(n):
+        c = (rng.randint(0, 5), *(rng.randint(-4, 4) for _ in range(dim)))
+        dur = rng.randint(0, 12)
+        step = (dur, *(rng.randint(-(dur // 2), dur // 2)
+                       for _ in range(dim)))
+        corners.append((c, tuple(a + b for a, b in zip(c, step))))
+    return corners
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_unrestricted_verdict_matches_the_subset_walk(seed):
+    corners = random_corners(random.Random(seed))
+    verdict = check_task(unrestricted_task(corners))
+    reach = [{j for j, (c, _) in enumerate(corners) if brute_causal_leq(c, r)}
+             for _, r in corners]
+    walk = b1_violations(reach)
+    assert verdict.feasible is (not walk)
+    # peeling reports the one set where it stalls, and that set violates B1
+    assert [v.condition for v in verdict.violations] == ["B1"] * bool(walk)
+    for v in verdict.violations:
+        assert tuple(int(nm[1:]) for nm in v.subject) in walk
+
+
+def test_sixty_diamond_unrestricted_task_gets_a_verdict():
+    # 58 late diamonds whose returns see every call peel off first and
+    # leave the two early ones; 2^60 subsets are far past any walk
+    late = [((100 + i, 0), (400, 0)) for i in range(58)]
+    apart = [((0, -50), (1, -50)), ((0, 50), (1, 50))]
+    verdict = check_task(unrestricted_task(late + apart))
+    assert [(v.condition, v.subject) for v in verdict.violations] == [
+        ("B1", ("D58", "D59"))]
+    close = [((0, -50), (1, -50)), ((0, -49), (2, -49))]
+    assert check_task(unrestricted_task(late + close)).feasible
 
 
 def test_verdict_lines():

@@ -432,13 +432,14 @@ def test_single_point_worldline():
     assert not worldline_intersects_region([from_lightcone(0, 0)], region)
 
 
-def test_worldline_sampling_in_the_plane():
+def test_worldline_in_the_plane_is_rejected():
+    # contact is decided exactly in one spatial dimension only; a planar
+    # path is refused rather than sampled
     d = Diamond(point(0, 0, 0), point(2, 0, 0))
     region = Region("D", (d,))
-    through = [point(-1, 0, 0), point(3, 0, 0)]
-    wide = [point(-1, 5, 5), point(3, 5, 5)]
-    assert worldline_intersects_region(through, region)
-    assert not worldline_intersects_region(wide, region)
+    for path in ([point(-1, 0, 0), point(3, 0, 0)], [point(1, 5, 5)]):
+        with pytest.raises(ValueError, match="one spatial dimension"):
+            worldline_intersects_region(path, region)
 
 
 # Monotone polylines against box lists, for the segment filter in front of

@@ -173,6 +173,14 @@ def test_depolarize_slot_matches_weyl_twirl(idx):
     else:
         assert np.allclose(got, np.kron(marg, np.eye(3) / 3), atol=1e-11)
 
+    # a register of mixed dimensions, twirled at every slot
+    dims = (2, 3, 2)
+    psi = haar(list(zip("abc", dims)), seed=7 + idx)
+    rho = np.outer(psi.vec, psi.vec.conj())
+    for k in range(len(dims)):
+        assert np.allclose(depolarize_slot(rho, dims, k),
+                           qotp_twirl(rho, dims, k), atol=1e-11)
+
 
 # ---------------------------------------------------------------- isometry
 
