@@ -23,7 +23,7 @@ from typing import NoReturn
 
 import click
 
-from .engine import EngineError, simulate
+from .engine import EngineError, simulate, validate_plan
 from .feasibility import check_task
 from .geometry import Diamond, Point
 from .model import (TaskError, TaskSpec, embed_access_structure, load_task,
@@ -116,12 +116,16 @@ def simulate_cmd(task_file: str, access: str | None, calls: str | None,
                 if calls is not None else None)
     try:
         p = plan_task(task)
-        report = simulate(p, tol=tol, access=access, calls=call_set)
+        validate_plan(p)
     except PlanningError as exc:
         _refuse(exc)
     except EngineError as exc:
         click.echo(f"audit failure: {exc}")
         sys.exit(2)
+    try:
+        report = simulate(p, tol=tol, access=access, calls=call_set)
+    except EngineError as exc:  # the audit passed, so --access or --calls
+        raise click.UsageError(str(exc))
     for line in report.lines():
         click.echo(line)
     sys.exit(0 if report.passed else 2)

@@ -73,8 +73,6 @@ def check_task(task: TaskSpec) -> Verdict:
     if task.kind == "summoning":
         if task.variant == "single_call_single_return":
             return _check_single_call(task)
-        if task.variant == "multiple_call_multiple_return":
-            return _check_assembly(task)
         return _check_unrestricted(task)
     if task.kind == "pit":
         # validate() already enforced the pair topology, which is the whole
@@ -134,7 +132,7 @@ def _check_localize_exclude(task: TaskSpec) -> Verdict:
 
 
 # --------------------------------------------------------------------
-# assembly (shared with call-restricted summoning)
+# assembly
 # --------------------------------------------------------------------
 
 
@@ -223,13 +221,30 @@ def _check_single_call(task: TaskSpec) -> Verdict:
 def _check_unrestricted(task: TaskSpec) -> Verdict:
     assert task.start is not None
     start = task.start
-    names = list(task.diamonds)
     out: list[Violation] = []
-    for nm in names:
+    for nm in task.diamonds:
         if not causal_leq(start, task.diamonds[nm].r):
             out.append(Violation(
                 "I_A", (nm,),
                 "the return point cannot receive anything from the start"))
+    stuck = b1_peel(task)[1]
+    if stuck:
+        out.append(Violation(
+            "B1", stuck, "no member's return sees every call in this subset"))
+    return _verdict(out)
+
+
+def b1_peel(task: TaskSpec) -> tuple[list[str], tuple[str, ...]]:
+    """Peel a summoning task's diamonds: remove, lowest name index first,
+    a member whose return sees every call still left.
+
+    A member that sees a set sees each of its subsets, so which member goes
+    first does not change what is left when peeling stalls.  Returns the
+    peel order and those stalled members: none exactly when B1 holds,
+    else the B1 witness.  Read backwards, a full peel order is a relay
+    chain, each call seeing the return of every later station.
+    """
+    names = list(task.diamonds)
     # reach[i] = bitmask of diamonds whose call the i-th return can see.
     reach = []
     for nm in names:
@@ -239,20 +254,16 @@ def _check_unrestricted(task: TaskSpec) -> Verdict:
             if causal_leq(task.diamonds[other].c, r):
                 mask |= 1 << j
         reach.append(mask)
-    # Peel a member whose return sees every call left.  A member that sees
-    # a set sees each of its subsets, so the peel order does not matter.
+    order: list[str] = []
     left = (1 << len(names)) - 1
     while left:
         peel = next((i for i in range(len(names))
                      if left >> i & 1 and left & ~reach[i] == 0), None)
         if peel is None:
-            subset = tuple(nm for i, nm in enumerate(names) if left >> i & 1)
-            out.append(Violation(
-                "B1", subset,
-                "no member's return sees every call in this subset"))
             break
+        order.append(names[peel])
         left &= ~(1 << peel)
-    return _verdict(out)
+    return order, tuple(nm for i, nm in enumerate(names) if left >> i & 1)
 
 
 # --------------------------------------------------------------------

@@ -18,9 +18,10 @@ A task file is line oriented:
     unauthorized NAME NAME ...
 
 For localize-exclude tasks the names in authorized/unauthorized lines are
-regions and a multi-name line means their union; for assembly and summoning
-they are diamonds.  Parse errors carry 1-based line numbers.  The serializer
-emits a canonical form that parses back to an identical task.
+regions and a multi-name line means their union; for assembly they are
+diamonds.  `summoning:multiple_call_multiple_return` is read as the
+state_assembly task it is.  Parse errors carry 1-based line numbers.  The
+serializer emits a canonical form that parses back to an identical task.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from typing import Sequence
 from .geometry import (Diamond, Point, Region, causal_leq, connected,
                        from_lightcone, point)
 
-SUMMONING_VARIANTS = (
-    "single_call_single_return",
-    "multiple_call_multiple_return",
-    "unrestricted",
-)
+SUMMONING_VARIANTS = ("single_call_single_return", "unrestricted")
 
 _KINDS = ("localize_exclude", "state_assembly", "summoning", "pit",
           "access_structure")
@@ -130,15 +127,12 @@ class TaskSpec:
         elif self.kind == "state_assembly":
             self._validate_sets(need_authorized=True)
         elif self.kind == "summoning":
-            if self.variant == "multiple_call_multiple_return":
-                self._validate_sets(need_authorized=True)
-            else:
-                if self.authorized or self.unauthorized:
-                    raise TaskError(
-                        f"summoning:{self.variant} takes no authorized or "
-                        "unauthorized lines")
-                if not self.diamonds:
-                    raise TaskError("summoning task has no diamonds")
+            if self.authorized or self.unauthorized:
+                raise TaskError(
+                    f"summoning:{self.variant} takes no authorized or "
+                    "unauthorized lines")
+            if not self.diamonds:
+                raise TaskError("summoning task has no diamonds")
         elif self.kind == "pit":
             self._validate_pit()
 
@@ -366,7 +360,9 @@ def parse_task(text: str) -> TaskSpec:
             if len(toks) != 2:
                 raise TaskFormatError(lineno, "task line needs one kind")
             kind = toks[1]
-            if kind.startswith("summoning:"):
+            if kind == "summoning:multiple_call_multiple_return":
+                kind = "state_assembly"
+            elif kind.startswith("summoning:"):
                 kind, variant = "summoning", kind.split(":", 1)[1]
         elif head == "dim":
             if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:

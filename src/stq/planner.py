@@ -38,7 +38,7 @@ from .geometry import (Diamond, Point, Region, causal_leq,
                        extract_escape_path, from_lightcone, point,
                        to_lightcone)
 from .model import TaskSpec
-from .feasibility import check_task
+from .feasibility import b1_peel, check_task
 
 Guard = dict
 Event = dict
@@ -94,10 +94,6 @@ def plan_task(task: TaskSpec) -> Plan:
     if task.kind == "summoning":
         if task.variant == "single_call_single_return":
             return _plan_single_call(task)
-        if task.variant == "multiple_call_multiple_return":
-            raise Unsupported(
-                "multiple-call summoning is planned as a state_assembly "
-                "task over the same diamonds; rewrite the task kind")
         raise Unsupported(
             "unrestricted summoning admits no finite event schedule here; "
             "the feasibility check is the supported surface")
@@ -494,13 +490,13 @@ def _route_assembly_cipher(task: TaskSpec, events: list[Event],
             events.append({"op": "move", "token": share, "path": [start, p]})
             events.append({"op": "move", "token": share,
                            "path": [p, task.diamonds[na].r],
-                           "guard": {"called": [na], "not_called": [nb]}})
+                           "guard": {"called": [na]}})
             events.append({"op": "move", "token": share,
                            "path": [p, task.diamonds[nb].r],
                            "guard": {"called": [nb], "not_called": [na]}})
             notes.append(f"channel {idx}: ciphertext held at a point seeing "
-                         f"calls of {na} and {nb}, handed to whichever is "
-                         "called alone")
+                         f"calls of {na} and {nb}, handed to {na} if called, "
+                         f"else to {nb} if called")
             return
     raise Unsupported(
         f"no diamond pair of {la} and {lb} admits a common decision point "
@@ -513,28 +509,53 @@ def _route_assembly_cipher(task: TaskSpec, events: list[Event],
 
 
 def _plan_single_call(task: TaskSpec) -> Plan:
-    assert task.start is not None
     names = sorted(task.diamonds)
     n = len(names)
-    if n > 3:
-        raise Unsupported(
-            "single-call summoning planning covers up to three diamonds")
     if n == 3:
         rot = _plan_rotation(task, names)
         if rot is not None:
             return rot
-    for order in itertools.permutations(names):
-        if _chain_ok(task, order):
-            return _plan_chain(task, list(order))
+    order, stuck = b1_peel(task)
+    if not stuck:
+        return _plan_chain(task, order[::-1])
     if n == 3 and task.secret_dim != 3:
         raise Unsupported("the three diamonds only fit a ring, which rides "
                           "the 2-of-3 qutrit code: secret_dim must be 3")
+    if n > 3:
+        raise Unsupported(
+            f"{n} diamonds admit no relay chain; single-call summoning "
+            "without one needs the star code, which is not implemented")
     raise RuntimeError("internal error: no relay order or ring fits; "
                        "condition II should have caught this")
 
 
 def _sees(task: TaskSpec, caller: str, returner: str) -> bool:
     return causal_leq(task.diamonds[caller].c, task.diamonds[returner].r)
+
+
+def _hop(events: list[Event], token: str, at: Point, to: Point, i: int,
+         guard: Guard | None = None) -> str:
+    """Bring `token` from `at` to `to` and return the token resting there.
+
+    An unguarded hop whose start precedes `to` is a move.  Otherwise the
+    token is teleported onto the half-pair F{i}~ waiting at `to`; the Bell
+    measurement at `at` carries the guard.
+    """
+    if guard is None and causal_leq(at, to):
+        events.append({"op": "move", "token": token, "path": [at, to]})
+        return token
+    base = _base_point([at, to])
+    half, ghost = f"F{i}", f"F{i}~"
+    events.append({"op": "create_pair", "labels": [half, ghost], "at": base})
+    events.append({"op": "move", "token": half, "path": [base, at]})
+    events.append({"op": "move", "token": ghost, "path": [base, to]})
+    bell: Event = {"op": "bell", "pair": [token, half], "outcome": f"t{i}",
+                   "at": at}
+    if guard is not None:
+        bell["guard"] = guard
+    events.append(bell)
+    events.append({"op": "broadcast", "value": f"t{i}", "at": at})
+    return ghost
 
 
 def _plan_rotation(task: TaskSpec, names: list[str]) -> Plan | None:
@@ -559,22 +580,8 @@ def _plan_rotation(task: TaskSpec, names: list[str]) -> Plan | None:
     for i, nm in enumerate(order):
         dd = task.diamonds[nm]
         nxt = task.diamonds[order[(i + 1) % 3]]
-        if causal_leq(start, dd.c):
-            events.append({"op": "move", "token": shares[i],
-                           "path": [start, dd.c]})
-            carrier = shares[i]
-        else:
-            base = _base_point([start, dd.c])
-            events.append({"op": "create_pair",
-                           "labels": [f"F{i}", f"F{i}~"], "at": base})
-            events.append({"op": "move", "token": f"F{i}",
-                           "path": [base, start]})
-            events.append({"op": "move", "token": f"F{i}~",
-                           "path": [base, dd.c]})
-            events.append({"op": "bell", "pair": [shares[i], f"F{i}"],
-                           "outcome": f"t{i}", "at": start})
-            events.append({"op": "broadcast", "value": f"t{i}", "at": start})
-            carrier = f"F{i}~"
+        carrier = _hop(events, shares[i], start, dd.c, i)
+        if carrier != shares[i]:
             notes.append(f"share for {nm} teleported to its call point")
         events.append({"op": "move", "token": carrier, "path": [dd.c, dd.r],
                        "guard": {"called": [nm]}})
@@ -583,21 +590,16 @@ def _plan_rotation(task: TaskSpec, names: list[str]) -> Plan | None:
     return Plan("summoning", task, events, notes)
 
 
-def _chain_ok(task: TaskSpec, order: Sequence[str]) -> bool:
-    return all(_sees(task, order[i], order[k])
-               for i in range(len(order)) for k in range(i + 1, len(order)))
-
-
 def _plan_chain(task: TaskSpec, order: list[str]) -> Plan:
     """Relay plan for a transitively ordered line of diamonds.
 
-    A half-pair waits at every call point except the last.  The state is
-    teleported onto the first; each station keeps it for a local call and
-    otherwise teleports it one station down (the bell is guarded by the
-    local call bit alone).  The last station is reached by the previous
-    one's carry move, so it needs no pair of its own.  Every return sees
-    every broadcast it needs because earlier call points precede later
-    returns in the relay order.
+    The state is moved or teleported onto the first station's call point,
+    and a half-pair waits at every later call point except the last.  Each
+    station keeps the state for a local call and otherwise teleports it
+    one station down (the bell is guarded by the local call bit alone).
+    The last station is reached by the previous one's carry move, so it
+    needs no pair of its own.  Every return sees every broadcast it needs
+    because earlier call points precede later returns in the relay order.
     """
     assert task.start is not None
     start = task.start
@@ -608,28 +610,15 @@ def _plan_chain(task: TaskSpec, order: list[str]) -> Plan:
         if i == len(order) - 1 and i > 0:
             break  # served by the previous station's carry move
         dd = task.diamonds[nm]
-        base = _base_point([prev_at, dd.c])
-        events.append({"op": "create_pair", "labels": [f"F{i}", f"F{i}~"],
-                       "at": base})
-        events.append({"op": "move", "token": f"F{i}",
-                       "path": [base, prev_at]})
-        events.append({"op": "move", "token": f"F{i}~",
-                       "path": [base, dd.c]})
-        bell: Event = {"op": "bell", "pair": [prev_token, f"F{i}"],
-                       "outcome": f"t{i}", "at": prev_at}
-        if i > 0:
-            bell["guard"] = {"not_called": [order[i - 1]]}
-        events.append(bell)
-        events.append({"op": "broadcast", "value": f"t{i}", "at": prev_at})
-        events.append({"op": "move", "token": f"F{i}~",
+        carrier = _hop(events, prev_token, prev_at, dd.c, i,
+                       {"not_called": [order[i - 1]]} if i else None)
+        events.append({"op": "move", "token": carrier,
                        "path": [dd.c, dd.r], "guard": {"called": [nm]}})
-        if i + 1 < len(order):
-            nxt = order[i + 1]
-            if i + 1 == len(order) - 1:
-                events.append({"op": "move", "token": f"F{i}~",
-                               "path": [dd.c, task.diamonds[nxt].r],
-                               "guard": {"not_called": [nm]}})
-        prev_token, prev_at = f"F{i}~", dd.c
+        if i + 1 == len(order) - 1:
+            events.append({"op": "move", "token": carrier,
+                           "path": [dd.c, task.diamonds[order[-1]].r],
+                           "guard": {"not_called": [nm]}})
+        prev_token, prev_at = carrier, dd.c
     return Plan("summoning", task, events, notes)
 
 

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from stq.cli import cli, render_svg
 from stq.model import fixture, parse_task, serialize_task
+from stq.planner import plan_task
 from stq.schemes import scheme_cost
 
 FEASIBLE = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
@@ -114,9 +115,9 @@ def test_simulate_single_call_pattern(runner, task_file):
 def test_simulate_refuses_a_pattern_that_scores_nothing(runner, task_file,
                                                         name, calls):
     res = runner.invoke(cli, ["simulate", task_file(name), "--calls", calls])
-    assert res.exit_code == 2
-    assert "scores no collection" in res.output
-    assert "PASS" not in res.output
+    assert res.exit_code == 1
+    assert "Error: " in res.output and "scores no collection" in res.output
+    assert "audit failure" not in res.output and "PASS" not in res.output
 
 
 def test_simulate_single_collection(runner, task_file):
@@ -130,8 +131,30 @@ def test_simulate_single_collection(runner, task_file):
 def test_simulate_rejects_unknown_collection(runner, task_file):
     res = runner.invoke(cli, ["simulate", task_file("fig1"),
                               "--access", "Z9"])
+    assert res.exit_code == 1
+    assert "Error: no authorized or excluded collection labeled 'Z9'" \
+        in res.output
+    assert "audit failure" not in res.output
+
+
+def test_simulate_rejects_unknown_call_diamonds(runner, task_file):
+    res = runner.invoke(cli, ["simulate", task_file("fig12"),
+                              "--calls", "D9"])
+    assert res.exit_code == 1
+    assert "Error: unknown call diamonds ['D9']" in res.output
+
+
+def test_simulate_reports_a_plan_the_audit_rejects(runner, task_file,
+                                                   monkeypatch):
+    def bad_plan(task):
+        plan = plan_task(task)
+        plan.events.append({"op": "teleport"})
+        return plan
+    monkeypatch.setattr("stq.cli.plan_task", bad_plan)
+    res = runner.invoke(cli, ["simulate", task_file("fig12")])
     assert res.exit_code == 2
-    assert "audit failure" in res.output
+    assert res.output.startswith("audit failure: ")
+    assert "unknown op" in res.output
 
 
 def test_embed_round_trips_through_check(runner, task_file):

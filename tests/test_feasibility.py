@@ -66,11 +66,11 @@ def _coords(p):
     return ", ".join(str(v) for v in p)
 
 
-def unrestricted_task(corners):
-    """Unrestricted summoning over diamonds D0, D1, ... with the given
-    (call, return) coordinate tuples; the start sees every return."""
+def summoning_task(corners, variant="unrestricted"):
+    """Summoning over diamonds D0, D1, ... with the given (call, return)
+    coordinate tuples; the start sees every return."""
     dim = len(corners[0][0]) - 1
-    lines = ["task summoning:unrestricted", f"dim {dim}",
+    lines = [f"task summoning:{variant}", f"dim {dim}",
              f"start ({_coords((-100,) + (0,) * dim)})"]
     lines += [f"diamond D{i} c=({_coords(c)}) r=({_coords(r)})"
               for i, (c, r) in enumerate(corners)]
@@ -93,7 +93,7 @@ def random_corners(rng):
 @settings(max_examples=150, deadline=None)
 def test_unrestricted_verdict_matches_the_subset_walk(seed):
     corners = random_corners(random.Random(seed))
-    verdict = check_task(unrestricted_task(corners))
+    verdict = check_task(summoning_task(corners))
     reach = [{j for j, (c, _) in enumerate(corners) if brute_causal_leq(c, r)}
              for _, r in corners]
     walk = b1_violations(reach)
@@ -109,11 +109,11 @@ def test_sixty_diamond_unrestricted_task_gets_a_verdict():
     # leave the two early ones; 2^60 subsets are far past any walk
     late = [((100 + i, 0), (400, 0)) for i in range(58)]
     apart = [((0, -50), (1, -50)), ((0, 50), (1, 50))]
-    verdict = check_task(unrestricted_task(late + apart))
+    verdict = check_task(summoning_task(late + apart))
     assert [(v.condition, v.subject) for v in verdict.violations] == [
         ("B1", ("D58", "D59"))]
     close = [((0, -50), (1, -50)), ((0, -49), (2, -49))]
-    assert check_task(unrestricted_task(late + close)).feasible
+    assert check_task(summoning_task(late + close)).feasible
 
 
 def test_verdict_lines():

@@ -2,15 +2,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stq
+from oracles import b1_violations, brute_causal_leq
 from stq import planner
-from stq.engine import validate_plan
-from stq.feasibility import Verdict
-from stq.model import AccessStructure, embed_access_structure, parse_task
+from stq.engine import simulate, validate_plan
+from stq.feasibility import Verdict, check_task
+from stq.model import (AccessStructure, embed_access_structure, fixture,
+                       parse_task, serialize_task)
 from stq.planner import Plan, PlanningError, Unsupported, plan_task
+from test_feasibility import random_corners, summoning_task
 
 FEASIBLE = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
 INFEASIBLE = ["fig7a", "fig7b", "fig7c", "fig7d", "fig11"]
@@ -64,12 +70,20 @@ def test_abstract_structure_must_be_embedded_first(task_of):
     validate_plan(plan)
 
 
-def test_multiple_call_variant_redirects_to_assembly(task_of):
-    task = dataclasses.replace(task_of("fig12"),
-                               variant="multiple_call_multiple_return",
-                               authorized=(("D1", "D2"),))
-    with pytest.raises(Unsupported, match="state_assembly"):
-        plan_task(task)
+MULTIPLE_CALL = """
+task summoning:multiple_call_multiple_return
+start (0.5, -1.5)
+diamond D1 c=(0, -1) r=(1, -1)
+diamond D2 c=(2, 0.2) r=(3, 0)
+authorized D1 D2
+"""
+
+
+def test_multiple_call_variant_is_read_as_assembly():
+    task = parse_task(MULTIPLE_CALL)
+    assert (task.kind, task.variant) == ("state_assembly", None)
+    assert serialize_task(task).startswith("task state_assembly\n")
+    assert simulate(plan_task(task)).passed
 
 
 def test_unrestricted_variant_is_check_only(task_of):
@@ -88,9 +102,74 @@ diamond D3 c=(30, 0) r=(32, 0)
 """
 
 
-def test_four_diamond_summoning_is_refused():
-    with pytest.raises(Unsupported, match="up to three diamonds"):
-        plan_task(parse_task(CHAIN4))
+def test_four_diamond_relay_plans_and_passes():
+    task = parse_task(CHAIN4)
+    plan = plan_task(task)
+    assert plan.notes == ["relay order D0 -> D1 -> D2 -> D3"]
+    validate_plan(plan)
+    assert simulate(plan).passed
+    # the start sees the first call point, so the first hop is a move
+    assert plan.events[1] == {"op": "move", "token": "psi",
+                              "path": [task.start, task.diamonds["D0"].c]}
+
+
+def test_relay_teleports_when_the_start_misses_the_first_call(plan_of):
+    events = plan_of("fig12").events
+    assert events[1]["op"] == "create_pair"
+    assert [e["pair"] for e in events if e["op"] == "bell"] == [["psi", "F0"]]
+
+
+# fig14's ring plus a late diamond whose return sees every call: peeling
+# removes D3 and stalls on the ring, so no relay chain exists
+RING_AND_LATE = serialize_task(fixture("fig14")) + \
+    "diamond D3 c=(5, 0, 0) r=(9, 0, 0)\n"
+
+
+def test_four_diamonds_without_a_chain_need_the_star_code():
+    task = parse_task(RING_AND_LATE)
+    assert check_task(task).feasible
+    with pytest.raises(Unsupported, match="star code"):
+        plan_task(task)
+
+
+# three integer diamonds in 2+1 dimensions, each call seeing one other
+# return around a cycle and no return seeing every call: a ring, so B1
+# fails
+RING = [((0, -3, -1), (12, 1, -6)), ((3, 4, -2), (9, 6, 1)),
+        ((2, 0, 4), (5, -1, 3))]
+
+
+def connected_corners(rng, ring):
+    """random_corners, after RING if asked, thinned first come first kept
+    to at most 12 pairwise causally connected diamonds."""
+    kept = list(RING) if ring else []
+    for c, r in random_corners(rng):
+        if all(len(c) == len(c2) and (brute_causal_leq(c, r2)
+                                      or brute_causal_leq(c2, r))
+               for c2, r2 in kept):
+            kept.append((c, r))
+    return kept[:12]
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_single_call_plans_follow_the_peel(seed, ring):
+    corners = connected_corners(random.Random(seed), ring)
+    task = summoning_task(corners, "single_call_single_return")
+    assert check_task(task).feasible
+    reach = [{j for j, (c, _) in enumerate(corners) if brute_causal_leq(c, r)}
+             for _, r in corners]
+    chain = not b1_violations(reach)
+    if not chain and len(corners) > 3:
+        with pytest.raises(Unsupported, match="star code"):
+            plan_task(task)
+        return
+    plan = plan_task(task)
+    # a qutrit triple rides the ring when it has one; every other plan
+    # is the relay, which exists exactly when B1 holds
+    assert plan.notes[0].startswith("relay" if len(corners) != 3 else
+                                    ("ring", "relay") if chain else "ring")
+    assert simulate(plan).passed
 
 
 def test_two_diamond_relay_is_dimension_agnostic(task_of):
@@ -108,6 +187,28 @@ def test_ring_of_three_needs_a_qutrit(task_of):
 def test_three_collections_need_a_qutrit(task_of):
     with pytest.raises(Unsupported, match="secret_dim"):
         plan_task(dataclasses.replace(task_of("triangle"), secret_dim=2))
+
+
+# authorized D1 beside authorized D1+D3: both ends of the channel pick D1,
+# and the ciphertext must still reach D1 whenever it is called
+NESTED = """
+task state_assembly
+dim 2
+secret_dim 3
+start (-1, 0, 0)
+diamond D1 c=(5, 1, 3) r=(10, 1, 3)
+diamond D2 c=(1, -2, 1) r=(5, -2, 1)
+diamond D3 c=(2, 3, 2) r=(5, 3, 2)
+authorized D1 D3
+authorized D1
+unauthorized D2
+"""
+
+
+def test_nested_collections_receive_the_state():
+    report = simulate(plan_task(parse_task(NESTED)))
+    assert report.min_fidelity == pytest.approx(1.0)
+    assert report.passed
 
 
 def test_two_collections_carry_any_dimension(task_of):
