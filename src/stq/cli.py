@@ -218,17 +218,14 @@ def _diamond_outline(d: Diamond) -> list[tuple[float, float]]:
 
 def _task_groups(task: TaskSpec):
     """(name, class, diamonds) per drawable group, in stable order."""
+    blue, red = sorted(task.diamonds), []
     if task.kind == "localize_exclude":
         blue = sorted({nm for s in task.authorized for nm in s})
         red = sorted({nm for s in task.unauthorized for nm in s} -
                      set(blue))
-        for nm in blue:
-            yield nm, "authorized", task.regions[nm].diamonds
-        for nm in red:
-            yield nm, "unauthorized", task.regions[nm].diamonds
-    else:
-        for nm in sorted(task.diamonds):
-            yield nm, "authorized", (task.diamonds[nm],)
+    for cls, names in (("authorized", blue), ("unauthorized", red)):
+        for nm in names:
+            yield nm, cls, task.collection((nm,))[1]
 
 
 def render_svg(task: TaskSpec, plan: Plan | None = None) -> str:

@@ -382,7 +382,7 @@ def validate_plan(plan: Plan) -> None:
     # avoid it along its whole worldline.
     if task.kind == "localize_exclude" and task.unauthorized:
         m = len(task.unauthorized)
-        zones = [task.region_union(s) for s in task.unauthorized]
+        zones = [task.collection(s)[1] for s in task.unauthorized]
         for src, parts in splits:
             if len(parts) != m:
                 continue
@@ -511,7 +511,8 @@ def _run(plan: Plan, calls: frozenset[str],
         elif op == "pad":
             a, b = key_values[ev["key"]]
             if (a, b) != (0, 0):
-                advance(i, lambda s: qsim.apply_weyl(s, ev["token"], a, b))
+                advance(i, lambda s: schemes.qotp_encrypt(s, ev["token"],
+                                                          (a, b)))
             tr.q[ev["token"]].stack.append(("pad", ev["key"]))
         elif op == "bell":
             if not _guard_ok(ev.get("guard"), calls):
@@ -618,9 +619,7 @@ def _undo(state: qsim.State, tok: _QTok,
     """
     for kind, name in reversed(tok.stack):
         if kind == "pad" and key_values[name] != (0, 0):
-            a, b = key_values[name]
-            w = qsim.weyl(state.register.dim(tok.label), a, b)
-            state = qsim.apply_unitary(state, w.conj().T, [tok.label])
+            state = schemes.qotp_decrypt(state, tok.label, key_values[name])
     return state
 
 
@@ -692,27 +691,19 @@ def _battery(task: TaskSpec) -> list[frozenset[str]]:
 
 
 def _collections_for(task: TaskSpec):
-    deliveries, exclusions = [], []
-    if task.kind == "localize_exclude":
-        for s in task.authorized:
-            deliveries.append(
-                (task.set_label(s), task.region_union(s), s))
-        for s in task.unauthorized:
-            exclusions.append(
-                (task.set_label(s), task.region_union(s), s))
-    elif task.kind == "state_assembly":
-        def reg(names):
-            return Region("+".join(names),
-                          tuple(task.diamonds[n] for n in names))
-        for s in task.authorized:
-            deliveries.append((task.set_label(s), reg(s), s))
-        for s in task.unauthorized:
-            exclusions.append((task.set_label(s), reg(s), s))
-    elif task.kind == "summoning":
-        for nm in sorted(task.diamonds):
-            deliveries.append(
-                (nm, Region(nm, (task.diamonds[nm],)), (nm,)))
-    return deliveries, exclusions
+    """(label, region, names) of every delivery and every exclusion.  A
+    summoning task delivers to each diamond alone; access-structure sets
+    name parties, not spacetime collections."""
+    def coll(names):
+        label, ds = task.collection(names)
+        return label, Region(label, ds), names
+
+    if task.kind == "access_structure":
+        return [], []
+    auth = ([(nm,) for nm in sorted(task.diamonds)]
+            if task.kind == "summoning" else task.authorized)
+    return ([coll(s) for s in auth],
+            [coll(s) for s in task.unauthorized])
 
 
 # --------------------------------------------------------------------

@@ -26,10 +26,11 @@ in a fixed order, so infeasibility is always explained.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import causal_leq, connected, escape_exists, region_in_future
+from .geometry import Diamond, causal_leq, connected, escape_exists
 from .model import AccessStructure, TaskError, TaskSpec
 
 _CONDITION_RANK = {"I_A": 0, "I_B": 1, "II": 2, "III": 3, "B1": 4}
@@ -71,14 +72,62 @@ def check_task(task: TaskSpec) -> Verdict:
     if task.kind == "state_assembly":
         return _check_assembly(task)
     if task.kind == "summoning":
-        if task.variant == "single_call_single_return":
-            return _check_single_call(task)
-        return _check_unrestricted(task)
+        return _check_summoning(task)
     if task.kind == "pit":
         # validate() already enforced the pair topology, which is the whole
         # feasibility story for transfer tasks.
         return Verdict(True, ())
     return check_access_structure(task.access_structure())
+
+
+# --------------------------------------------------------------------
+# I_A and II, shared by every geometric family
+# --------------------------------------------------------------------
+
+# Per task kind: the detail of an I_A and of a II violation.
+_REACH_DETAIL = {
+    "localize_exclude": (
+        "no diamond of the region lies in the start's causal future",
+        "the two regions are everywhere spacelike separated"),
+    "state_assembly": (
+        "no diamond of the collection can receive anything from the start",
+        "no diamond of either collection can signal any diamond of the "
+        "other"),
+    "summoning": (
+        "the return point cannot receive anything from the start",
+        "neither diamond's call can reach the other's return"),
+}
+
+
+def _reach_violations(task: TaskSpec,
+                      auth: Sequence[tuple[str, tuple[Diamond, ...]]],
+                      pairwise: bool = True) -> list[Violation]:
+    """I_A for each authorized collection, then (if `pairwise`) II for
+    each two of them.  `auth` holds `TaskSpec.collection` values."""
+    assert task.start is not None
+    start = task.start
+    ia, ii = _REACH_DETAIL[task.kind]
+    out = []
+    for label, ds in auth:
+        for d in ds:
+            if causal_leq(start, d.r):
+                break
+        else:
+            out.append(Violation("I_A", (label,), ia))
+    if pairwise:
+        for (la, da), (lb, db) in itertools.combinations(auth, 2):
+            if not _linked(da, db):
+                out.append(Violation("II", (la, lb), ii))
+    return out
+
+
+def _linked(da: Sequence[Diamond], db: Sequence[Diamond]) -> bool:
+    """Is some diamond of `da` causally connected to some diamond of `db`?"""
+    for a in da:
+        for b in db:
+            if connected(a, b):
+                return True
+    return False
 
 
 # --------------------------------------------------------------------
@@ -92,37 +141,20 @@ def _check_localize_exclude(task: TaskSpec) -> Verdict:
         raise TaskError(
             "escape conditions are only decided exactly in one spatial "
             "dimension; higher-dimensional exclusion tasks are not supported")
-    start = task.start
-    auth = [(task.set_label(s), task.region_union(s)) for s in task.authorized]
-    excl = [(task.set_label(s), task.region_union(s)) for s in task.unauthorized]
-    out: list[Violation] = []
+    auth = [task.collection(s) for s in task.authorized]
+    excl = [task.collection(s) for s in task.unauthorized]
+    out = _reach_violations(task, auth)
 
-    for label, region in auth:
-        if not region_in_future(region, start):
+    for lu, du in excl:
+        if not escape_exists(task.start, du):
             out.append(Violation(
-                "I_A", (label,),
-                "no diamond of the region lies in the start's causal future"))
-
-    for label, region in excl:
-        if not escape_exists(start, region.diamonds):
-            out.append(Violation(
-                "I_B", (label,),
+                "I_B", (lu,),
                 "every causal curve from the start eventually enters the "
                 "excluded set"))
 
-    for i in range(len(auth)):
-        for j in range(i + 1, len(auth)):
-            la, ra = auth[i]
-            lb, rb = auth[j]
-            if not any(connected(da, db)
-                       for da in ra.diamonds for db in rb.diamonds):
-                out.append(Violation(
-                    "II", (la, lb),
-                    "the two regions are everywhere spacelike separated"))
-
-    for la, ra in auth:
-        for lu, ru in excl:
-            if not escape_exists(ra, ru.diamonds):
+    for la, da in auth:
+        for lu, du in excl:
+            if not escape_exists(da, du):
                 out.append(Violation(
                     "III", (la, lu),
                     "every causal curve through the authorized region is "
@@ -137,38 +169,15 @@ def _check_localize_exclude(task: TaskSpec) -> Verdict:
 
 
 def _check_assembly(task: TaskSpec) -> Verdict:
-    assert task.start is not None
-    start = task.start
-    out: list[Violation] = []
-    auth = [(task.set_label(s), s) for s in task.authorized]
-    excl = [(task.set_label(s), s) for s in task.unauthorized]
-
-    for label, names in auth:
-        if not any(causal_leq(start, task.diamonds[n].r) for n in names):
-            out.append(Violation(
-                "I_A", (label,),
-                "no diamond of the collection can receive anything from "
-                "the start"))
-
-    for i in range(len(auth)):
-        for j in range(i + 1, len(auth)):
-            la, sa = auth[i]
-            lb, sb = auth[j]
-            if not any(connected(task.diamonds[na], task.diamonds[nb])
-                       for na in sa for nb in sb):
-                out.append(Violation(
-                    "II", (la, lb),
-                    "no diamond of either collection can signal any diamond "
-                    "of the other"))
-
-    for la, sa in auth:
-        for lu, su in excl:
+    out = _reach_violations(task,
+                            [task.collection(s) for s in task.authorized])
+    for sa in task.authorized:
+        for su in task.unauthorized:
             if not _exclusion_separable(task, sa, su):
                 out.append(Violation(
-                    "III", (la, lu),
+                    "III", (task.set_label(sa), task.set_label(su)),
                     "the collection sits inside the excluded one and no "
                     "member's return sees a distinguishing call"))
-
     return _verdict(out)
 
 
@@ -198,39 +207,20 @@ def _exclusion_separable(task: TaskSpec, auth: Sequence[str],
 # --------------------------------------------------------------------
 
 
-def _check_single_call(task: TaskSpec) -> Verdict:
-    assert task.start is not None
-    start = task.start
-    names = list(task.diamonds)
-    out: list[Violation] = []
-    for n in names:
-        if not causal_leq(start, task.diamonds[n].r):
+def _check_summoning(task: TaskSpec) -> Verdict:
+    """Each diamond D is its own collection, the one `task.collection`
+    gives the set (D,).  Single-call summoning adds II; unrestricted
+    summoning adds B1 instead, which implies it."""
+    single = task.variant == "single_call_single_return"
+    out = _reach_violations(
+        task, [(nm, (d,)) for nm, d in task.diamonds.items()],
+        pairwise=single)
+    if not single:
+        stuck = b1_peel(task)[1]
+        if stuck:
             out.append(Violation(
-                "I_A", (n,),
-                "the return point cannot receive anything from the start"))
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if not connected(task.diamonds[names[i]],
-                             task.diamonds[names[j]]):
-                out.append(Violation(
-                    "II", (names[i], names[j]),
-                    "neither diamond's call can reach the other's return"))
-    return _verdict(out)
-
-
-def _check_unrestricted(task: TaskSpec) -> Verdict:
-    assert task.start is not None
-    start = task.start
-    out: list[Violation] = []
-    for nm in task.diamonds:
-        if not causal_leq(start, task.diamonds[nm].r):
-            out.append(Violation(
-                "I_A", (nm,),
-                "the return point cannot receive anything from the start"))
-    stuck = b1_peel(task)[1]
-    if stuck:
-        out.append(Violation(
-            "B1", stuck, "no member's return sees every call in this subset"))
+                "B1", stuck,
+                "no member's return sees every call in this subset"))
     return _verdict(out)
 
 
@@ -282,14 +272,11 @@ def check_access_structure(structure: AccessStructure) -> Verdict:
     out: list[Violation] = []
     auth = [(TaskSpec.set_label(s), frozenset(s)) for s in structure.authorized]
     excl = [(TaskSpec.set_label(s), frozenset(s)) for s in structure.unauthorized]
-    for i in range(len(auth)):
-        for j in range(i + 1, len(auth)):
-            la, sa = auth[i]
-            lb, sb = auth[j]
-            if not sa & sb:
-                out.append(Violation(
-                    "II", (la, lb),
-                    "disjoint authorized sets would have to clone the state"))
+    for (la, sa), (lb, sb) in itertools.combinations(auth, 2):
+        if not sa & sb:
+            out.append(Violation(
+                "II", (la, lb),
+                "disjoint authorized sets would have to clone the state"))
     for la, sa in auth:
         for lu, su in excl:
             if sa <= su:

@@ -61,7 +61,6 @@ __all__ = [
     "Box",
     "point",
     "causal_leq",
-    "strictly_earlier",
     "to_lightcone",
     "from_lightcone",
     "region_in_future",
@@ -128,11 +127,6 @@ def causal_leq(p: Point, q: Point) -> bool:
     for a, b in zip(p.x, q.x):
         dd += (b - a) * (b - a)
     return dt * dt >= dd
-
-
-def strictly_earlier(p: Point, q: Point) -> bool:
-    """p <= q in the causal order, and p != q."""
-    return causal_leq(p, q) and (p.t != q.t or p.x != q.x)
 
 
 def _not_dim1(dim: int) -> ValueError:

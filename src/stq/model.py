@@ -17,11 +17,14 @@ A task file is line oriented:
     authorized NAME NAME ...         (one name set per line)
     unauthorized NAME NAME ...
 
-For localize-exclude tasks the names in authorized/unauthorized lines are
-regions and a multi-name line means their union; for assembly they are
-diamonds.  `summoning:multiple_call_multiple_return` is read as the
-state_assembly task it is.  Parse errors carry 1-based line numbers.  The
-serializer emits a canonical form that parses back to an identical task.
+Coordinates and box bounds are finite decimal numbers; `nan`, `inf` and
+values that overflow a float are parse errors.  Access-structure name sets
+list parties; in every other task what a name set on an
+authorized/unauthorized line denotes is `TaskSpec.collection`: the union of
+the named regions for localize-exclude tasks, the named diamonds otherwise.
+`summoning:multiple_call_multiple_return` is read as the state_assembly
+task it is.  Parse errors carry 1-based line numbers.  The serializer emits
+a canonical form that parses back to an identical task.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Sequence
 
@@ -84,12 +88,16 @@ class TaskSpec:
         """Canonical label of a name set, used in verdicts and plans."""
         return "+".join(names)
 
-    def region_union(self, names: Sequence[str]) -> Region:
-        """Union of named regions, for localize-exclude name sets."""
-        ds: list[Diamond] = []
-        for n in names:
-            ds.extend(self.regions[n].diamonds)
-        return Region(self.set_label(names), tuple(ds))
+    def collection(self, names: Sequence[str]
+                   ) -> tuple[str, tuple[Diamond, ...]]:
+        """What a name set denotes: its label and its diamonds.  Names are
+        regions in a localize-exclude task, where the set is their union,
+        and diamonds in every other geometric kind."""
+        if self.kind == "localize_exclude":
+            ds = [d for n in names for d in self.regions[n].diamonds]
+        else:
+            ds = [self.diamonds[n] for n in names]
+        return self.set_label(names), tuple(ds)
 
     def access_structure(self) -> AccessStructure:
         if self.kind != "access_structure":
@@ -231,9 +239,12 @@ class TaskSpec:
 
 def _parse_number(tok: str, lineno: int) -> float:
     try:
-        return float(tok)
+        x = float(tok)
     except ValueError:
         raise TaskFormatError(lineno, f"bad number {tok!r}") from None
+    if not isfinite(x):
+        raise TaskFormatError(lineno, f"number {tok!r} is not finite")
+    return x
 
 
 def _parse_point(text: str, lineno: int, dim: int | None) -> Point:

@@ -31,9 +31,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .geometry import (Diamond, Point, Region, causal_leq,
+from .geometry import (Diamond, Point, causal_leq, connected,
                        earliest_point_after, escape_exists,
                        extract_escape_path, from_lightcone, point,
                        to_lightcone)
@@ -109,76 +109,69 @@ def plan_task(task: TaskSpec) -> Plan:
 # --------------------------------------------------------------------
 
 
-def _decision_point(da: Diamond, db: Diamond,
-                    also_after: Point | None = None) -> Point | None:
-    """A point seeing both call points and preceding both returns.
-
-    In one spatial dimension the light-cone componentwise maximum of the
-    call points is the canonical choice and is complete: if it fails, no
-    point works.  In higher dimensions the corner barycenter is tried and
-    verified; failure there only means this pair is not used.
-    """
-    if da.dim == 1:
-        ua, va = to_lightcone(da.c)
-        ub, vb = to_lightcone(db.c)
-        u, v = max(ua, ub), max(va, vb)
-        if also_after is not None:
-            us, vs = to_lightcone(also_after)
-            u, v = max(u, us), max(v, vs)
-        p = from_lightcone(u, v)
+def _meet(after: Sequence[Point], before: Sequence[Point],
+          tries: Callable[[], Iterable[Point]]) -> Point | None:
+    """A point seeing every point of `after` and preceding every point of
+    `before`, or None.  In one spatial dimension the light-cone join of
+    `after` is the only candidate, and it is complete: if it fails, no
+    point works.  Higher dimensions try the candidates `tries()` lists."""
+    if after[0].dim == 1:
+        us, vs = zip(*map(to_lightcone, after))
+        cands: Iterable[Point] = (from_lightcone(max(us), max(vs)),)
     else:
-        coords = [da.c, db.c, da.r, db.r]
-        t = sum(q.t for q in coords) / 4
-        xs = tuple(sum(q.x[i] for q in coords) / 4 for i in range(da.dim))
-        p = Point(t, xs)
-        if also_after is not None and not causal_leq(also_after, p):
-            return None
-    for pre in (da.c, db.c):
-        if not causal_leq(pre, p):
-            return None
-    if also_after is not None and not causal_leq(also_after, p):
-        return None
-    for post in (da.r, db.r):
-        if not causal_leq(p, post):
-            return None
-    return p
+        cands = tries()
+    for p in cands:
+        if (all(causal_leq(q, p) for q in after)
+                and all(causal_leq(p, q) for q in before)):
+            return p
+    return None
+
+
+def _barycenter(pts: Sequence[Point]) -> Point:
+    n = len(pts)
+    return Point(sum(q.t for q in pts) / n,
+                 tuple(sum(q.x[i] for q in pts) / n
+                       for i in range(pts[0].dim)))
+
+
+def _decision_point(da: Diamond, db: Diamond, start: Point) -> Point | None:
+    """A point after the start that sees both call points and precedes
+    both returns; in higher dimensions the corner barycenter is tried."""
+    return _meet((da.c, db.c, start), (da.r, db.r),
+                 lambda: (_barycenter((da.c, db.c, da.r, db.r)),))
 
 
 def _guard_point(task: TaskSpec, start: Point, guard: Guard,
                  dest: Diamond) -> Point:
     """A waypoint that sees every call named in a guard, is reachable from
-    the start, and still precedes the delivery return.
-
-    One spatial dimension takes the light-cone join of the start and the
-    named call points, which is complete.  Higher dimensions try the call
-    points themselves and the corner barycenter of the named diamonds.
+    the start, and still precedes the delivery return.  Higher dimensions
+    try the corner barycenter of the named diamonds (when there are two or
+    more), then their call points.
     """
     names = [*guard.get("called", ()), *guard.get("not_called", ())]
     ds = [task.diamonds[nm] for nm in names]
 
-    def good(p: Point) -> bool:
-        return (causal_leq(start, p) and causal_leq(p, dest.r)
-                and all(causal_leq(dd.c, p) for dd in ds))
+    def tries() -> list[Point]:
+        corners = [q for dd in ds for q in (dd.c, dd.r)]
+        return ([_barycenter(corners)] if len(ds) > 1 else []) + [
+            dd.c for dd in ds]
 
-    if task.dim == 1:
-        us, vs = zip(*(to_lightcone(q) for q in [start] + [dd.c for dd in ds]))
-        p = from_lightcone(max(us), max(vs))
-        if good(p):
-            return p
-    else:
-        cands = [dd.c for dd in ds]
-        if len(ds) > 1:
-            corners = [q for dd in ds for q in (dd.c, dd.r)]
-            t = sum(q.t for q in corners) / len(corners)
-            xs = tuple(sum(q.x[i] for q in corners) / len(corners)
-                       for i in range(task.dim))
-            cands.insert(0, Point(t, xs))
-        for p in cands:
-            if good(p):
-                return p
-    raise Unsupported(
-        "no waypoint sees the calls of " + ", ".join(names) +
-        " before the release diamond's return")
+    p = _meet([start, *(dd.c for dd in ds)], (dest.r,), tries)
+    if p is None:
+        raise Unsupported(
+            "no waypoint sees the calls of " + ", ".join(names) +
+            " before the release diamond's return")
+    return p
+
+
+def _hold(events: list[Event], token: str, start: Point, at: Point,
+          branches: list[tuple[Diamond, Guard]]) -> None:
+    """Move `token` from the start to the decision point `at`, then on to
+    each branch's return when that branch's guard holds."""
+    events.append({"op": "move", "token": token, "path": [start, at]})
+    for dest, guard in branches:
+        events.append({"op": "move", "token": token, "path": [at, dest.r],
+                       "guard": guard})
 
 
 def _base_point(anchors: Sequence[Point]) -> Point:
@@ -196,14 +189,57 @@ def _dist(xa: tuple, xb: tuple) -> float:
     return sum((p - q) ** 2 for p, q in zip(xa, xb)) ** 0.5
 
 
-def _earliest_entry(region: Region, start: Point) -> tuple[Diamond, Point]:
-    for d in region.diamonds:
+def _earliest_entry(ds: Sequence[Diamond], start: Point) -> Point:
+    for d in ds:
         p = earliest_point_after(d, start)
         if p is not None:
-            return d, p
+            return p
     raise RuntimeError("internal error: no diamond of the region lies in "
                        "the start's future; condition I_A should have "
                        "caught this")
+
+
+# How localize-exclude plans say the state travels, per number of
+# authorized collections.
+_CHANNEL_NOTES = (
+    "single collection: the padded state travels directly",
+    "two collections: one shared channel carries the state",
+    "three collections: 2-of-3 qutrit shares, one per channel; each "
+    "collection decodes from its two",
+)
+
+
+def _encode(events: list[Event], at: Point) -> list[str]:
+    """Encode the source into three ((2,3)) shares at `at`."""
+    shares = [f"sh{i}" for i in range(3)]
+    events.append({"op": "encode", "code": "edge23", "input": "psi",
+                   "outputs": shares, "at": at})
+    return shares
+
+
+def _channels(task: TaskSpec,
+              events: list[Event]) -> list[tuple[str, tuple[int, ...]]]:
+    """Source the state at the start and open one channel per edge.
+
+    One or two authorized collections share a channel carrying the state
+    itself.  Three get one ((2,3)) share per pair of collections, so each
+    collection holds two shares.  Returns (token, indices of the
+    authorized sets it serves) for every channel.
+    """
+    n = len(task.authorized)
+    if n > 3:
+        raise Unsupported(
+            "pairwise channel coding is implemented for up to three "
+            "authorized collections; use scheme_cost for the general scaling")
+    if n == 3 and task.secret_dim != 3:
+        raise Unsupported(
+            "three collections ride the 2-of-3 qutrit code: secret_dim "
+            "must be 3")
+    events.append({"op": "source", "label": "psi", "at": task.start})
+    if n < 3:
+        return [("psi", tuple(range(n)))]
+    return list(zip(_encode(events, task.start),
+                    itertools.combinations(range(3), 2)))
 
 
 # --------------------------------------------------------------------
@@ -218,143 +254,89 @@ def _plan_localize_exclude(task: TaskSpec) -> Plan:
             "light-cone escape paths and supports one spatial dimension")
     assert task.start is not None
     start = task.start
-    d = task.secret_dim
-    auth = [(task.set_label(s), task.region_union(s)) for s in task.authorized]
-    excl = [(task.set_label(s), task.region_union(s)) for s in task.unauthorized]
-    n, m = len(auth), len(excl)
-    if n > 3:
-        raise Unsupported(
-            "pairwise channel coding is implemented for up to three "
-            "authorized collections; use scheme_cost for the general scaling")
-    if n == 3 and task.secret_dim != 3:
-        raise Unsupported(
-            "three collections ride the 2-of-3 qutrit code: secret_dim "
-            "must be 3")
-
+    auth = [task.collection(s) for s in task.authorized]
+    excl = [task.collection(s) for s in task.unauthorized]
+    m = len(excl)
     events: list[Event] = []
-    notes: list[str] = []
-    events.append({"op": "source", "label": "psi", "at": start})
-
-    # share per pairwise channel (or the secret itself when alone)
-    if n == 1:
-        edges = [("psi", [auth[0]])]
-        notes.append("single collection: the padded state travels directly")
-    elif n == 2:
-        edges = [("psi", [auth[0], auth[1]])]
-        notes.append("two collections: one shared channel carries the state")
-    else:
-        pair_list = list(itertools.combinations(range(3), 2))
-        shares = [f"sh{i}" for i in range(3)]
-        events.append({"op": "encode", "code": "edge23", "input": "psi",
-                       "outputs": shares, "at": start})
-        edges = [(shares[i], [auth[a], auth[b]])
-                 for i, (a, b) in enumerate(pair_list)]
-        notes.append("three collections: 2-of-3 qutrit shares, one per "
-                     "channel; each collection decodes from its two")
+    edges = _channels(task, events)
+    notes = [_CHANNEL_NOTES[len(auth) - 1]]
 
     # escape curves, computed up front so the key origin can precede them
     ib_curves: dict[str, list[Point]] = {}
     iii_curves: dict[tuple[str, str], list[Point]] = {}
-    for lu, ru in excl:
-        ib_curves[lu] = extract_escape_path(start, ru.diamonds)
-        for la, ra in auth:
-            iii_curves[la, lu] = extract_escape_path(ra, ru.diamonds)
+    for lu, du in excl:
+        ib_curves[lu] = extract_escape_path(start, du)
+        for la, da in auth:
+            iii_curves[la, lu] = extract_escape_path(da, du)
 
-    anchor_pts: list[Point] = [start]
-    for curve in ib_curves.values():
-        anchor_pts.append(curve[0])
-    for curve in iii_curves.values():
-        anchor_pts.append(curve[0])
-    base = _base_point(anchor_pts)
+    base = _base_point([start, *(c[0] for c in ib_curves.values()),
+                        *(c[0] for c in iii_curves.values())])
 
-    for idx, (share, targets) in enumerate(edges):
+    for idx, (share, members) in enumerate(edges):
+        targets = [auth[ai] for ai in members]
         key = f"k{idx}"
         events.append({"op": "key", "name": key, "at": base})
-        # the encrypting copy rides the start's own escape curves
-        parts = [f"{key}.s{l}" for l in range(max(m, 1))]
-        events.append({"op": "split", "source": key, "parts": parts,
-                       "at": base})
-        if m == 0:
-            events.append({"op": "move", "token": parts[0],
-                           "path": [base, start]})
-        else:
-            # each part rides the full escape curve; it passes through the
-            # start, where the pad consumes the reassembled key
-            for l, (lu, _) in enumerate(excl):
-                events.append({"op": "move", "token": parts[l],
-                               "path": [base] + ib_curves[lu]})
+        # the encrypting copy rides the start's own escape curves; each
+        # part passes through the start, where the pad consumes the
+        # reassembled key
+        _split_along(events, key, f"{key}.s", base,
+                     [[base] + ib_curves[lu] for lu, _ in excl]
+                     or [[base, start]])
         events.append({"op": "pad", "token": share, "key": key, "at": start})
 
-        for la, region in targets:
-            parts = [f"{key}.{la}.{l}" for l in range(max(m, 1))]
-            events.append({"op": "split", "source": key, "parts": parts,
-                           "at": base})
-            if m == 0:
-                entry = _earliest_entry(region, start)
-                events.append({"op": "move", "token": parts[0],
-                               "path": [base, start, entry[1]]})
-            else:
-                for l, (lu, _) in enumerate(excl):
-                    curve = iii_curves[la, lu]
-                    events.append({"op": "move", "token": parts[l],
-                                   "path": [base] + curve})
+        for la, ds in targets:
+            _split_along(events, key, f"{key}.{la}.", base,
+                         [[base] + iii_curves[la, lu] for lu, _ in excl]
+                         or [[base, start, _earliest_entry(ds, start)]])
             notes.append(f"key {key}: copy for {la} in {max(m, 1)} "
                          "independently routed parts")
 
-        _route_cipher(task, events, notes, share, idx, start, base,
-                      [t for t in targets])
+        _route_cipher(events, notes, share, idx, start, base, targets)
 
     return Plan("localize_exclude", task, events, notes)
 
 
-def _route_cipher(task: TaskSpec, events: list[Event], notes: list[str],
-                  share: str, idx: int, start: Point, base: Point,
-                  targets: list[tuple[str, Region]]) -> None:
+def _split_along(events: list[Event], key: str, prefix: str, at: Point,
+                 paths: list[list[Point]]) -> None:
+    """Split `key` at `at` into parts `prefix`0, 1, ..., one per path, and
+    move each part along its path."""
+    parts = [f"{prefix}{l}" for l in range(len(paths))]
+    events.append({"op": "split", "source": key, "parts": parts, "at": at})
+    for part, path in zip(parts, paths):
+        events.append({"op": "move", "token": part, "path": path})
+
+
+def _route_cipher(events: list[Event], notes: list[str], share: str,
+                  idx: int, start: Point, base: Point,
+                  targets: list[tuple[str, tuple[Diamond, ...]]]) -> None:
     """Send one padded share through every target region, directly if a
     causal chain exists, else by teleporting onto a half-pair whose
     worldline threads a connected diamond of each region."""
     if len(targets) == 1:
-        la, region = targets[0]
-        entry = _earliest_entry(region, start)
+        la, ds = targets[0]
         events.append({"op": "move", "token": share,
-                       "path": [start, entry[1]]})
+                       "path": [start, _earliest_entry(ds, start)]})
         notes.append(f"channel {idx}: ciphertext direct to {la}")
         return
 
-    (la, ra), (lb, rb) = targets
-    for first, second in (((la, ra), (lb, rb)), ((lb, rb), (la, ra))):
-        chain = None
-        for d1 in first[1].diamonds:
-            p = earliest_point_after(d1, start)
-            if p is None:
-                continue
-            for d2 in second[1].diamonds:
-                q = earliest_point_after(d2, p)
-                if q is not None:
-                    chain = (p, q)
-                    break
-            if chain:
-                break
+    for (l1, ds1), (l2, ds2) in (targets, targets[::-1]):
+        # enter a diamond of ds1 from the start, then one of ds2 from
+        # there: the first such pair in diamond order
+        hops = ((p, earliest_point_after(d2, p))
+                for p in (earliest_point_after(d1, start) for d1 in ds1)
+                if p is not None for d2 in ds2)
+        chain = next((hop for hop in hops if hop[1] is not None), None)
         if chain:
             events.append({"op": "move", "token": share,
-                           "path": [start, chain[0], chain[1]]})
-            notes.append(f"channel {idx}: ciphertext direct "
-                         f"{first[0]} then {second[0]}")
+                           "path": [start, *chain]})
+            notes.append(f"channel {idx}: ciphertext direct {l1} then {l2}")
             return
 
     # no direct chain: thread a pre-placed half-pair through a connected
     # diamond of each region and teleport the ciphertext onto it
-    witness = None
-    for dfrom in ra.diamonds:
-        for dto in rb.diamonds:
-            if causal_leq(dfrom.c, dto.r):
-                witness = (dfrom, dto)
-                break
-            if causal_leq(dto.c, dfrom.r):
-                witness = (dto, dfrom)
-                break
-        if witness:
-            break
+    (la, ra), (lb, rb) = targets
+    witness = next(((a, b) if causal_leq(a.c, b.r) else (b, a)
+                    for a in ra for b in rb if connected(a, b)), None)
     if witness is None:
         raise RuntimeError("internal error: the two regions are not "
                            "connected; condition II should have caught this")
@@ -382,32 +364,9 @@ def _route_cipher(task: TaskSpec, events: list[Event], notes: list[str],
 def _plan_assembly(task: TaskSpec) -> Plan:
     assert task.start is not None
     start = task.start
-    auth = [(task.set_label(s), list(s)) for s in task.authorized]
-    excl = [(task.set_label(s), list(s)) for s in task.unauthorized]
-    n, m = len(auth), len(excl)
-    if n > 3:
-        raise Unsupported(
-            "pairwise channel coding is implemented for up to three "
-            "authorized collections; use scheme_cost for the general scaling")
-    if n == 3 and task.secret_dim != 3:
-        raise Unsupported(
-            "three collections ride the 2-of-3 qutrit code: secret_dim "
-            "must be 3")
-
     events: list[Event] = []
+    edges = _channels(task, events)
     notes: list[str] = []
-    events.append({"op": "source", "label": "psi", "at": start})
-
-    if n == 1:
-        edges = [("psi", [0])]
-    elif n == 2:
-        edges = [("psi", [0, 1])]
-    else:
-        shares = [f"sh{i}" for i in range(3)]
-        events.append({"op": "encode", "code": "edge23", "input": "psi",
-                       "outputs": shares, "at": start})
-        edges = [(shares[i], list(pair))
-                 for i, pair in enumerate(itertools.combinations(range(3), 2))]
 
     for idx, (share, members) in enumerate(edges):
         key = f"k{idx}"
@@ -415,25 +374,22 @@ def _plan_assembly(task: TaskSpec) -> Plan:
         events.append({"op": "pad", "token": share, "key": key, "at": start})
 
         for ai in members:
-            la, names = auth[ai]
-            parts = [f"{key}.{la}.{l}" for l in range(max(m, 1))]
+            names = task.authorized[ai]
+            la = task.set_label(names)
+            rules = [_release_rule(task, names, unames)
+                     for unames in task.unauthorized or [()]]
+            parts = [f"{key}.{la}.{l}" for l in range(len(rules))]
             events.append({"op": "split", "source": key, "parts": parts,
                            "at": start})
-            rules = ([_release_rule(task, names, ())] if m == 0 else
-                     [_release_rule(task, names, unames)
-                      for _, unames in excl])
-            for l, (dname, guard) in enumerate(rules):
+            for part, (dname, guard) in zip(parts, rules):
                 dest = task.diamonds[dname]
-                gp = _guard_point(task, start, guard, dest)
-                events.append({"op": "move", "token": parts[l],
-                               "path": [start, gp]})
-                events.append({"op": "move", "token": parts[l],
-                               "path": [gp, dest.r], "guard": guard})
+                _hold(events, part, start,
+                      _guard_point(task, start, guard, dest), [(dest, guard)])
             notes.append(f"key {key}: copy for {la} released only at "
                          "called diamonds, one part per excluded collection")
 
         _route_assembly_cipher(task, events, notes, share, idx, start,
-                               [auth[ai] for ai in members])
+                               [task.authorized[ai] for ai in members])
 
     return Plan("state_assembly", task, events, notes)
 
@@ -469,37 +425,33 @@ def _release_rule(task: TaskSpec, auth_names: Sequence[str],
 def _route_assembly_cipher(task: TaskSpec, events: list[Event],
                            notes: list[str], share: str, idx: int,
                            start: Point,
-                           targets: list[tuple[str, list[str]]]) -> None:
+                           targets: list[tuple[str, ...]]) -> None:
     if len(targets) == 1:
-        la, names = targets[0]
-        for nm in names:
-            if causal_leq(start, task.diamonds[nm].r):
+        la, ds = task.collection(targets[0])
+        for nm, dd in zip(targets[0], ds):
+            if causal_leq(start, dd.r):
                 events.append({"op": "move", "token": share,
-                               "path": [start, task.diamonds[nm].r]})
+                               "path": [start, dd.r]})
                 notes.append(f"channel {idx}: ciphertext direct to {nm}")
                 return
         raise Unsupported(f"ciphertext cannot reach {la}")
 
-    (la, names_a), (lb, names_b) = targets
+    names_a, names_b = targets
     for na in names_a:
         for nb in names_b:
-            p = _decision_point(task.diamonds[na], task.diamonds[nb],
-                                also_after=start)
+            p = _decision_point(task.diamonds[na], task.diamonds[nb], start)
             if p is None:
                 continue
-            events.append({"op": "move", "token": share, "path": [start, p]})
-            events.append({"op": "move", "token": share,
-                           "path": [p, task.diamonds[na].r],
-                           "guard": {"called": [na]}})
-            events.append({"op": "move", "token": share,
-                           "path": [p, task.diamonds[nb].r],
-                           "guard": {"called": [nb], "not_called": [na]}})
+            _hold(events, share, start, p, [
+                (task.diamonds[na], {"called": [na]}),
+                (task.diamonds[nb], {"called": [nb], "not_called": [na]})])
             notes.append(f"channel {idx}: ciphertext held at a point seeing "
                          f"calls of {na} and {nb}, handed to {na} if called, "
                          f"else to {nb} if called")
             return
     raise Unsupported(
-        f"no diamond pair of {la} and {lb} admits a common decision point "
+        f"no diamond pair of {task.set_label(names_a)} and "
+        f"{task.set_label(names_b)} admits a common decision point "
         "reachable from the start")
 
 
@@ -571,9 +523,7 @@ def _plan_rotation(task: TaskSpec, names: list[str]) -> Plan | None:
     if order is None:
         return None
     events: list[Event] = [{"op": "source", "label": "psi", "at": start}]
-    shares = [f"sh{i}" for i in range(3)]
-    events.append({"op": "encode", "code": "edge23", "input": "psi",
-                   "outputs": shares, "at": start})
+    shares = _encode(events, start)
     notes = [f"ring order {' -> '.join(order)}: each share waits at its "
              "diamond's call point, staying for a local call and otherwise "
              "passing to the next return"]
@@ -634,22 +584,16 @@ def _plan_pit(task: TaskSpec) -> Plan:
                           "secret_dim must be 3")
     start = task.start
     events: list[Event] = [{"op": "source", "label": "psi", "at": start}]
-    shares = [f"sh{i}" for i in range(3)]
-    events.append({"op": "encode", "code": "edge23", "input": "psi",
-                   "outputs": shares, "at": start})
+    shares = _encode(events, start)
     notes = ["one 2-of-3 share per diamond pair, held at a point seeing "
              "both parties' calls and handed to whichever called alone"]
     for i, (pname, d1, d2) in enumerate(task.pit_pairs()):
-        p = _decision_point(d1, d2, also_after=start)
+        p = _decision_point(d1, d2, start)
         if p is None:
             raise Unsupported(
                 f"pair {pname!r} admits no common decision point")
         n1, n2 = f"{pname}1", f"{pname}2"
-        events.append({"op": "move", "token": shares[i], "path": [start, p]})
-        events.append({"op": "move", "token": shares[i],
-                       "path": [p, d1.r],
-                       "guard": {"called": [n1], "not_called": [n2]}})
-        events.append({"op": "move", "token": shares[i],
-                       "path": [p, d2.r],
-                       "guard": {"called": [n2], "not_called": [n1]}})
+        _hold(events, shares[i], start, p, [
+            (d1, {"called": [n1], "not_called": [n2]}),
+            (d2, {"called": [n2], "not_called": [n1]})])
     return Plan("pit", task, events, notes)

@@ -289,7 +289,7 @@ def test_audit_rejects_pads_a_teleport_would_drop(plan_of, half):
 def test_audit_rejects_key_parts_crossing_their_excluded_region(task_of,
                                                                 plan_of):
     task, plan = task_of("fig1"), plan_of("fig1")
-    inside = task.region_union(task.unauthorized[0]).diamonds[0].c
+    inside = task.collection(task.unauthorized[0])[1][0].c
 
     def reroute(events):
         split = next(e for e in events if e["op"] == "split")

@@ -77,8 +77,22 @@ def test_multi_name_line_is_one_set():
     authorized A B
     """)
     assert task.authorized == (("A", "B"),)
-    union = task.region_union(("A", "B"))
-    assert len(union.diamonds) == 2
+    label, union = task.collection(("A", "B"))
+    assert label == "A+B"
+    assert union == task.regions["A"].diamonds + task.regions["B"].diamonds
+
+
+def test_assembly_name_set_is_its_named_diamonds():
+    task = parse_task("""
+    task state_assembly
+    start (-1, 0)
+    diamond D1 c=(0, 0) r=(2, 0)
+    diamond D2 c=(1, 1) r=(3, 1)
+    diamond D3 c=(0, 3) r=(1, 3)
+    authorized D1 D2
+    """)
+    assert task.collection(("D1", "D2")) == (
+        "D1+D2", (task.diamonds["D1"], task.diamonds["D2"]))
 
 
 def test_set_label():
@@ -109,6 +123,26 @@ def test_syntax_errors_carry_line_numbers():
     with pytest.raises(TaskFormatError) as err:
         parse_task("task localize_exclude\nstart what\n")
     assert err.value.line == 2
+
+
+NON_FINITE_SITES = {
+    "start": "task state_assembly\nstart ({}, 0)\n"
+             "diamond D c=(0, 0) r=(1, 0)\nauthorized D\n",
+    "diamond corner": "task state_assembly\nstart (-1, 0)\n"
+                      "diamond D c=(0, 0) r=(1, {})\nauthorized D\n",
+    "box bound": "task localize_exclude\nstart (0, 0)\nregion A {{\n"
+                 " box u=[1, 2] v=[1, {}]\n}}\nauthorized A\n",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("site", sorted(NON_FINITE_SITES))
+def test_non_finite_numbers_are_rejected(site, value):
+    text = NON_FINITE_SITES[site].format(value)
+    with pytest.raises(TaskFormatError, match="not finite") as err:
+        parse_task(text)
+    lines = text.splitlines()
+    assert value in lines[err.value.line - 1]
 
 
 def test_non_causal_diamond_is_rejected():

@@ -221,6 +221,71 @@ def test_transfer_plan_needs_a_qutrit(task_of):
         plan_task(dataclasses.replace(task_of("fig15"), secret_dim=2))
 
 
+# Planar waypoints.  Beyond one spatial dimension the planner has no
+# complete meeting point and tries fixed candidates in order; these pin
+# which candidate wins, with the corners chosen so it can be read off.
+
+def planar_assembly(d2_return_t, second_auth=False):
+    """D1 alone is authorized (and D2 too when `second_auth`); D1 D2 is
+    excluded unless D2 is authorized."""
+    lines = ["task state_assembly", "dim 2", "secret_dim 3",
+             "start (-10, 0, 0)",
+             "diamond D1 c=(0, 0, 0) r=(8, 0, 0)",
+             f"diamond D2 c=(0, 1, 1) r=({d2_return_t}, 1, 1)"
+             if second_auth else
+             f"diamond D2 c=(2, 1, 0) r=({d2_return_t}, 1, 0)",
+             "authorized D1"]
+    lines.append("authorized D2" if second_auth else "unauthorized D1 D2")
+    return parse_task("\n".join(lines) + "\n")
+
+
+def moves_of(plan, token):
+    return [e for e in plan.events if e["op"] == "move" and e["token"] == token]
+
+
+def check_passes(plan):
+    validate_plan(plan)
+    assert simulate(plan).passed
+
+
+def test_planar_guard_waits_at_the_corner_barycenter():
+    # D1's key part is released on "D1 called, D2 not": the waypoint must
+    # see both calls.  Corners (0,0,0) (8,0,0) (2,1,0) (4,1,0) average to
+    # (3.5, 0.5, 0), which sees both calls and precedes D1's return.  D2's
+    # call point would also do; the barycenter is tried first.
+    plan = plan_task(planar_assembly(4))
+    wait, release = moves_of(plan, "k0.D1.0")
+    assert wait["path"] == [stq.point(-10, 0, 0), stq.point(3.5, 0.5, 0)]
+    assert release["path"][0] == stq.point(3.5, 0.5, 0)
+    assert release["guard"] == {"called": ["D1"], "not_called": ["D2"]}
+    check_passes(plan)
+
+
+def test_planar_guard_falls_back_to_a_call_point():
+    # D2 returns at t = 30, so the barycenter (10, 0.5, 0) is after D1's
+    # return (8, 0, 0); D1's call misses D2's call, and D2's call point
+    # (2, 1, 0) is the first candidate that works.
+    plan = plan_task(planar_assembly(30))
+    wait, release = moves_of(plan, "k0.D1.0")
+    assert wait["path"] == [stq.point(-10, 0, 0), stq.point(2, 1, 0)]
+    assert release["path"] == [stq.point(2, 1, 0), stq.point(8, 0, 0)]
+    check_passes(plan)
+
+
+def test_planar_decision_point_is_the_corner_barycenter():
+    # Two collections share the ciphertext, held where both calls are
+    # seen: the corners (0,0,0) (0,1,1) (8,0,0) (8,1,1) average to
+    # (4, 0.5, 0.5), after both calls and before both returns.
+    plan = plan_task(planar_assembly(8, second_auth=True))
+    hold, to_d1, to_d2 = moves_of(plan, "psi")
+    here = stq.point(4, 0.5, 0.5)
+    assert hold["path"] == [stq.point(-10, 0, 0), here]
+    assert to_d1["path"] == [here, stq.point(8, 0, 0)]
+    assert to_d2["path"] == [here, stq.point(8, 1, 1)]
+    assert to_d2["guard"] == {"called": ["D2"], "not_called": ["D1"]}
+    check_passes(plan)
+
+
 PLANAR = """
 task localize_exclude
 dim 2
