@@ -400,7 +400,9 @@ def validate_plan(plan: Plan) -> None:
 
 
 @dataclass
-class _QTok:
+class _Tok:
+    """A quantum slot or a classical key part.  Parts use only the label
+    and the two worldline records."""
     label: str
     alive: bool = True
     plain: bool = False
@@ -409,13 +411,6 @@ class _QTok:
     partner: str | None = None
     paths: list = field(default_factory=list)       # fired polylines
     handovers: list = field(default_factory=list)   # (endpoint, guarded)
-
-
-@dataclass
-class _CTok:
-    label: str
-    paths: list = field(default_factory=list)
-    handovers: list = field(default_factory=list)
 
 
 @dataclass
@@ -486,13 +481,13 @@ def _run(plan: Plan, calls: frozenset[str],
         if op == "source":
             lab = ev["label"]
             advance(i, lambda _: qsim.maximally_entangled(d, ("ref", lab)))
-            tr.q[lab] = _QTok(lab, plain=True, paths=[[ev["at"]]])
+            tr.q[lab] = _Tok(lab, plain=True, paths=[[ev["at"]]])
         elif op == "encode":
             advance(i, lambda s: schemes.code23_encode(s, ev["input"],
                                                        ev["outputs"]))
             tr.q[ev["input"]].alive = False
             for idx, out in enumerate(ev["outputs"]):
-                tr.q[out] = _QTok(out, share=idx, paths=[[ev["at"]]])
+                tr.q[out] = _Tok(out, share=idx, paths=[[ev["at"]]])
         elif op == "create_pair":
             la, lb = ev["labels"]
 
@@ -500,14 +495,14 @@ def _run(plan: Plan, calls: frozenset[str],
                 pair = qsim.maximally_entangled(d, (la, lb))
                 return pair if s is None else s.tensor(pair)
             advance(i, grow)
-            tr.q[la] = _QTok(la, partner=lb, paths=[[ev["at"]]])
-            tr.q[lb] = _QTok(lb, partner=la, paths=[[ev["at"]]])
+            tr.q[la] = _Tok(la, partner=lb, paths=[[ev["at"]]])
+            tr.q[lb] = _Tok(lb, partner=la, paths=[[ev["at"]]])
         elif op == "key":
             pass
         elif op == "split":
             tr.splits.append((ev["source"], list(ev["parts"])))
             for part in ev["parts"]:
-                tr.c[part] = _CTok(part, paths=[[ev["at"]]])
+                tr.c[part] = _Tok(part, paths=[[ev["at"]]])
         elif op == "pad":
             a, b = key_values[ev["key"]]
             if (a, b) != (0, 0):
@@ -568,26 +563,16 @@ def _handed_over(handovers: Sequence[tuple[Point, bool]],
 
 
 def _collect(trace: _Trace, region: Region, geometric: bool) -> _View:
-    slots = []
-    parts = set()
-    for lab, tok in trace.q.items():
-        if not tok.alive:
-            continue
+    """What `region` collects: slots and parts whose worldline touches it
+    when `geometric` (localize-exclude), else those handed over to it."""
+    def hit(tok: _Tok) -> bool:
         if geometric:
-            hit = any(worldline_intersects_region(p, region)
-                      for p in tok.paths)
-        else:
-            hit = _handed_over(tok.handovers, region)
-        if hit:
-            slots.append(lab)
-    for lab, ctk in trace.c.items():
-        if geometric:
-            hit = any(worldline_intersects_region(p, region)
-                      for p in ctk.paths)
-        else:
-            hit = _handed_over(ctk.handovers, region)
-        if hit:
-            parts.add(lab)
+            return any(worldline_intersects_region(p, region)
+                       for p in tok.paths)
+        return _handed_over(tok.handovers, region)
+
+    slots = [lab for lab, tok in trace.q.items() if tok.alive and hit(tok)]
+    parts = {lab for lab, tok in trace.c.items() if hit(tok)}
     known = {key for key, ps in trace.splits
              if all(p in parts for p in ps)}
     heard = {val for val, origin in trace.casts
@@ -608,7 +593,7 @@ def _reference(d: int) -> np.ndarray:
     return vec
 
 
-def _undo(state: qsim.State, tok: _QTok,
+def _undo(state: qsim.State, tok: _Tok,
           key_values: dict[str, tuple[int, int]]) -> qsim.State:
     """Undo a token's pads, newest first.
 
@@ -628,7 +613,7 @@ def _reconstruct(trace: _Trace, view: _View,
                  d: int) -> tuple[float, bool]:
     """Best decode from a view: (fidelity, whether a decode path existed)."""
     state = trace.state
-    usable: list[_QTok] = []
+    usable: list[_Tok] = []
     for lab in view.slots:
         tok = trace.q[lab]
         if all((name in view.keys) if kind == "pad"
@@ -830,15 +815,11 @@ def _twirl_leak(base: _Trace, view: _View, d: int) -> float:
 # --------------------------------------------------------------------
 
 
-def _pit_pair_names(task: TaskSpec) -> list[str]:
-    return [pname for pname, _, _ in task.pit_pairs()]
-
-
 def _pit_battery(task: TaskSpec) -> list[tuple[int, str, frozenset[str]]]:
     """All honest scenarios: the receiving party crossed with the choice
     of the pair whose share is left to the other party."""
     out = []
-    pnames = _pit_pair_names(task)
+    pnames = [pname for pname, _, _ in task.pit_pairs()]
     for receiver in (1, 2):
         other = 3 - receiver
         for third in pnames:
@@ -851,7 +832,6 @@ def _pit_battery(task: TaskSpec) -> list[tuple[int, str, frozenset[str]]]:
 def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
     task = plan.task
     d = task.secret_dim
-    pnames = _pit_pair_names(task)
     pair_map = {pname: (d1, d2) for pname, d1, d2 in task.pit_pairs()}
     scenarios: list[ScenarioResult] = []
     fids: list[float] = []
@@ -861,7 +841,7 @@ def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
 
     for receiver, third, calls in _pit_battery(task):
         tr = _run(plan, calls, {}, states)
-        mine = [p for p in pnames if p != third]
+        mine = [p for p in pair_map if p != third]
         region = Region("receiver", tuple(
             pair_map[p][receiver - 1] for p in mine))
         view = _collect(tr, region, geometric=False)
@@ -891,8 +871,9 @@ def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
         if not _handed_over(spares[0].handovers, other_region):
             raise EngineError(
                 "the left-over share was not delivered to the other party")
-        chi = _project_prob(state, schemes.chi_state(),
-                            [toks[1].label, spares[0].label])
+        chi = qsim.fidelity(
+            qsim.partial_trace(state, [toks[1].label, spares[0].label]),
+            schemes.chi_state())
         fids.append(fid)
         chis.append(chi)
         scenarios.append(ScenarioResult(
@@ -908,20 +889,6 @@ def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
     return SimulationReport(
         "pit", seed, tol, scenarios, min_fid, None, min_chi, passed,
         ["all honest receiver and left-over pair choices enumerated"])
-
-
-def _project_prob(state: qsim.State, vec: np.ndarray,
-                  labels: Sequence[str]) -> float:
-    """Probability of projecting the named slots onto a pure state."""
-    reg = state.register
-    idxs = [reg.index(l) for l in labels]
-    arr = np.moveaxis(state.vec.reshape(reg.dims), idxs,
-                      range(len(idxs)))
-    head = 1
-    for i in idxs:
-        head *= reg.dims[i]
-    amp = vec.conj() @ arr.reshape(head, -1)
-    return float(np.real(np.vdot(amp, amp)))
 
 
 def pit_cheat_chi_probability(seed: int = 0) -> float:
@@ -940,4 +907,5 @@ def pit_cheat_chi_probability(seed: int = 0) -> float:
     state = state.tensor(decoy)
     state = schemes.code23_encode(state, "phi", ["b0", "b1", "b2"])
     state = schemes.code23_decode(state, (0, 1), "a0", "a1")
-    return _project_prob(state, schemes.chi_state(), ["a1", "b2"])
+    return qsim.fidelity(qsim.partial_trace(state, ["a1", "b2"]),
+                         schemes.chi_state())

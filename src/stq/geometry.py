@@ -265,18 +265,6 @@ def earliest_point_after(d: Diamond, p: Point) -> Point | None:
 # exact escape decision: a bitset sweep over the refined breakpoint grid
 # ====================================================================
 
-# Face encoding for `_advance`: (kind, i, j)
-#   CELL i,j : open cell (us[i], us[i+1]) x (vs[j], vs[j+1])
-#   VE   i,j : open vertical edge {us[i]} x (vs[j], vs[j+1])
-#   HE   i,j : open horizontal edge (us[i], us[i+1]) x {vs[j]}
-#   VX   i,j : vertex (us[i], vs[j])
-# The sweep numbers the same faces on the refined grid instead: index 2i is
-# the line us[i] and 2i + 1 the open interval after it, so CELL i,j is
-# (2i+1, 2j+1), VE i,j is (2i, 2j+1), HE i,j is (2i+1, 2j) and VX i,j is
-# (2i, 2j).  Index parity gives the kind, in the order CELL, VE, HE, VX.
-_CELL, _VE, _HE, _VX = 0, 1, 2, 3
-_KIND_OF_PARITY = {(1, 1): _CELL, (0, 1): _VE, (1, 0): _HE, (0, 0): _VX}
-
 _MARGIN = 1.0  # how far witness paths extend past the finite breakpoints
 
 
@@ -362,23 +350,6 @@ class _Grid:
             [(ti - i_hi, ti - i_lo, tj - j_hi, tj - j_lo)
              for i_lo, i_hi, j_lo, j_hi in rects], self.rows, self.bits))
 
-    # Anchors are midpoints, except that the unbounded sentinel intervals
-    # clamp to a point just past the finite breakpoints, so witness paths
-    # stay within the bounding box plus a margin.
-    def _anchor_u(self, i: int) -> float:
-        if i == 0:
-            return self.us[1] - _MARGIN
-        if i == self.nu - 2:
-            return self.us[i] + _MARGIN
-        return 0.5 * (self.us[i] + self.us[i + 1])
-
-    def _anchor_v(self, j: int) -> float:
-        if j == 0:
-            return self.vs[1] - _MARGIN
-        if j == self.nv - 2:
-            return self.vs[j] + _MARGIN
-        return 0.5 * (self.vs[j] + self.vs[j + 1])
-
     def _rect(self, box: Box) -> tuple[int, int, int, int]:
         """Refined index bounds (i_lo, i_hi, j_lo, j_hi) of the faces whose
         points lie in the closed box.  Every bound is a breakpoint, so those
@@ -394,7 +365,8 @@ class _Grid:
 
     def hit(self, targets: Sequence[Box]) -> tuple[int, int] | None:
         """The first face on an escape curve inside a target: target boxes
-        as given, then face kind (CELL, VE, HE, VX), then i, then j."""
+        as given, then face kind by index parity (cells, vertical edges,
+        horizontal edges, vertices), then I, then J."""
         for box in targets:
             lo, hi, j_lo, j_hi = self._rect(box)
             cols = _bit_span(j_lo, j_hi)
@@ -406,7 +378,7 @@ class _Grid:
                         self._bwd_rev[self.rows - 1 - i], self.bits)
                 through[i] = row
             odd = int("10" * self.nv, 2)  # the bits of odd index
-            for pi, pj in _KIND_OF_PARITY:
+            for pi, pj in ((1, 1), (0, 1), (1, 0), (0, 0)):
                 parity = odd if pj else ~odd
                 for i in range(lo + pi, hi + 1, 2):
                     row = through[i] & parity
@@ -414,15 +386,13 @@ class _Grid:
                         return (i, (row & -row).bit_length() - 1)
         return None
 
-    def chain(self, hit: tuple[int, int]) -> list[tuple[int, int, int]]:
+    def chain(self, hit: tuple[int, int]) -> list[tuple[int, int]]:
         """Faces from the source cell through `hit` to the sink cell, each a
-        face-graph step from the one before, as (kind, i, j)."""
+        face-graph step from the one before."""
         back = self._walk(hit, -1, self._in_fwd, (1, 1))
         sink = (self.rows - 2, self.bits - 2)
         ahead = self._walk(hit, 1, self._in_bwd, sink)
-        faces = back[::-1] + ahead[1:]
-        return [(_KIND_OF_PARITY[i % 2, j % 2], i // 2, j // 2)
-                for i, j in faces]
+        return back[::-1] + ahead[1:]
 
     @staticmethod
     def _walk(face, d, reachable, end) -> list[tuple[int, int]]:
@@ -515,21 +485,21 @@ def escape_exists(through: Union[Point, _DiamondsLike], avoiding: _DiamondsLike)
     return hit is not None
 
 
-def _advance(grid: _Grid, xy: tuple[float, float], face) -> tuple[float, float]:
-    """Monotone step onto `face` from the current curve point."""
-    kind, i, j = face
-    u, v = xy
-    if kind == _CELL:
-        nu, nv = max(u, grid._anchor_u(i)), max(v, grid._anchor_v(j))
-    elif kind == _VE:
-        nu, nv = grid.us[i], max(v, grid._anchor_v(j))
-    elif kind == _HE:
-        nu, nv = max(u, grid._anchor_u(i)), grid.vs[j]
-    else:
-        nu, nv = grid.us[i], grid.vs[j]
-    if nu < u - 1e-12 or nv < v - 1e-12:
-        raise RuntimeError("internal error: non-monotone face walk")
-    return (nu, nv)
+def _enter(lines: Sequence[float], k: int, x: float) -> float:
+    """The coordinate at which a monotone curve at `x` enters refined index
+    `k` of one axis.  An even index is the breakpoint line itself.  An odd
+    one, the open interval after line k // 2, is entered no earlier than its
+    anchor: the midpoint, except that the two unbounded sentinel intervals
+    clamp to a point just past the finite breakpoints, so witness paths
+    stay within the bounding box plus a margin."""
+    i = k // 2
+    if k % 2 == 0:
+        return lines[i]
+    if i == 0:
+        return max(x, lines[1] - _MARGIN)
+    if i == len(lines) - 2:
+        return max(x, lines[i] + _MARGIN)
+    return max(x, 0.5 * (lines[i] + lines[i + 1]))
 
 
 def extract_escape_path(
@@ -548,12 +518,15 @@ def extract_escape_path(
     if hit is None:
         raise ValueError("no escape curve exists")
 
-    xy = (grid.us[1] - _MARGIN, grid.vs[1] - _MARGIN)
+    u, v = grid.us[1] - _MARGIN, grid.vs[1] - _MARGIN
     waypoints: list[tuple[float, float]] = []
-    for face in grid.chain(hit):
-        xy = _advance(grid, xy, face)
-        if not waypoints or waypoints[-1] != xy:
-            waypoints.append(xy)
+    for i, j in grid.chain(hit):
+        nu, nv = _enter(grid.us, i, u), _enter(grid.vs, j, v)
+        if nu < u - 1e-12 or nv < v - 1e-12:
+            raise RuntimeError("internal error: non-monotone face walk")
+        u, v = nu, nv
+        if not waypoints or waypoints[-1] != (u, v):
+            waypoints.append((u, v))
     path = [from_lightcone(u, v) for u, v in waypoints]
     if not verify_witness_curve(path, through, avoiding):
         raise RuntimeError(

@@ -22,6 +22,9 @@ values that overflow a float are parse errors.  Access-structure name sets
 list parties; in every other task what a name set on an
 authorized/unauthorized line denotes is `TaskSpec.collection`: the union of
 the named regions for localize-exclude tasks, the named diamonds otherwise.
+A name set repeated within the authorized lines, or within the unauthorized
+lines, is an error; a set on both an authorized and an unauthorized line is
+not, since the checker reports it as a condition-III violation.
 `summoning:multiple_call_multiple_return` is read as the state_assembly
 task it is.  Parse errors carry 1-based line numbers.  The serializer emits
 a canonical form that parses back to an identical task.
@@ -130,10 +133,8 @@ class TaskSpec:
             for d in r.diamonds:
                 if d.dim != self.dim:
                     raise TaskError(f"region {name!r} has wrong dimension")
-        if self.kind == "localize_exclude":
-            self._validate_le()
-        elif self.kind == "state_assembly":
-            self._validate_sets(need_authorized=True)
+        if self.kind in ("localize_exclude", "state_assembly"):
+            self._validate_sets()
         elif self.kind == "summoning":
             if self.authorized or self.unauthorized:
                 raise TaskError(
@@ -144,34 +145,31 @@ class TaskSpec:
         elif self.kind == "pit":
             self._validate_pit()
 
-    def _validate_le(self) -> None:
+    def _validate_sets(self) -> None:
+        """Each name set names known regions (localize-exclude) or
+        diamonds (assembly), and no set repeats within the authorized lines
+        or within the unauthorized ones.  A set on both sides is not an
+        error here: the checker reports it as a III violation."""
+        if self.kind == "localize_exclude":
+            noun, known, stray = "region", self.regions, self.diamonds
+        else:
+            noun, known, stray = "diamond", self.diamonds, self.regions
         if not self.authorized:
-            raise TaskError("localize-exclude task has no authorized regions")
-        if self.diamonds:
-            raise TaskError(
-                "localize-exclude tasks use region blocks, not named diamonds")
-        for s in self.authorized + self.unauthorized:
-            if not s:
-                raise TaskError("empty name set")
-            for n in s:
-                if n not in self.regions:
-                    raise TaskError(f"unknown region {n!r}")
-
-    def _validate_sets(self, need_authorized: bool) -> None:
-        if need_authorized and not self.authorized:
             raise TaskError("task has no authorized sets")
-        if self.regions:
-            raise TaskError("this task kind uses named diamonds, not regions")
-        seen: set[tuple[str, ...]] = set()
-        for s in self.authorized + self.unauthorized:
-            if not s:
-                raise TaskError("empty name set")
-            if s in seen:
-                raise TaskError(f"duplicate name set {self.set_label(s)!r}")
-            seen.add(s)
-            for n in s:
-                if n not in self.diamonds:
-                    raise TaskError(f"unknown diamond {n!r}")
+        if stray:
+            raise TaskError(f"this task kind uses named {noun}s only")
+        for sets in (self.authorized, self.unauthorized):
+            seen: set[tuple[str, ...]] = set()
+            for s in sets:
+                if not s:
+                    raise TaskError("empty name set")
+                if s in seen:
+                    raise TaskError(
+                        f"duplicate name set {self.set_label(s)!r}")
+                seen.add(s)
+                for n in s:
+                    if n not in known:
+                        raise TaskError(f"unknown {noun} {n!r}")
 
     def _validate_pit(self) -> None:
         if self.authorized or self.unauthorized:
@@ -262,17 +260,17 @@ def _parse_point(text: str, lineno: int, dim: int | None) -> Point:
     return point(*coords)
 
 
-def _parse_interval(tok: str, lineno: int, key: str) -> tuple[float, float]:
-    if not tok.startswith(f"{key}=[") or not tok.endswith("]"):
-        raise TaskFormatError(lineno, f"expected {key}=[lo, hi], got {tok!r}")
-    inner = tok[len(key) + 2:-1]
+def _parse_interval(key: str, inner: str,
+                    lineno: int) -> tuple[float, float]:
+    """The bounds of a box's `key=[inner]`."""
     parts = inner.split(",")
     if len(parts) != 2:
-        raise TaskFormatError(lineno, f"expected two bounds in {tok!r}")
+        raise TaskFormatError(
+            lineno, f"expected two bounds in '{key}=[{inner}]'")
     lo = _parse_number(parts[0].strip(), lineno)
     hi = _parse_number(parts[1].strip(), lineno)
     if hi < lo:
-        raise TaskFormatError(lineno, f"empty interval in {tok!r}")
+        raise TaskFormatError(lineno, f"empty interval in '{key}=[{inner}]'")
     return lo, hi
 
 
@@ -303,6 +301,16 @@ def _make_diamond(cpt: Point, rpt: Point, lineno: int) -> Diamond:
         return Diamond(cpt, rpt)
     except ValueError as exc:
         raise TaskFormatError(lineno, str(exc)) from None
+
+
+def _parse_diamond(body: str, lineno: int, dim: int) -> Diamond:
+    """The diamond of a `diamond` line's `c=(..) r=(..)` body, top-level
+    or inside a region block."""
+    kv = _split_kv_points(body, lineno)
+    if set(kv) != {"c", "r"}:
+        raise TaskFormatError(lineno, "diamond needs c=(..) r=(..)")
+    return _make_diamond(_parse_point(kv["c"], lineno, dim),
+                         _parse_point(kv["r"], lineno, dim), lineno)
 
 
 def parse_task(text: str) -> TaskSpec:
@@ -339,12 +347,8 @@ def parse_task(text: str) -> TaskSpec:
                 region_name, region_diamonds = None, []
                 continue
             if line.startswith("diamond "):
-                kv = _split_kv_points(line[len("diamond "):], lineno)
-                if set(kv) != {"c", "r"}:
-                    raise TaskFormatError(lineno, "diamond needs c=(..) r=(..)")
-                cpt = _parse_point(kv["c"], lineno, dim)
-                rpt = _parse_point(kv["r"], lineno, dim)
-                region_diamonds.append(_make_diamond(cpt, rpt, lineno))
+                region_diamonds.append(
+                    _parse_diamond(line[len("diamond "):], lineno, dim))
                 continue
             if line.startswith("box "):
                 if dim != 1:
@@ -354,8 +358,8 @@ def parse_task(text: str) -> TaskSpec:
                     r"box\s+u=\[([^\]]*)\]\s+v=\[([^\]]*)\]", line)
                 if match is None:
                     raise TaskFormatError(lineno, "box needs u=[..] v=[..]")
-                u_lo, u_hi = _parse_interval(f"u=[{match.group(1)}]", lineno, "u")
-                v_lo, v_hi = _parse_interval(f"v=[{match.group(2)}]", lineno, "v")
+                u_lo, u_hi = _parse_interval("u", match.group(1), lineno)
+                v_lo, v_hi = _parse_interval("v", match.group(2), lineno)
                 cpt = from_lightcone(u_lo, v_lo)
                 rpt = from_lightcone(u_hi, v_hi)
                 region_diamonds.append(_make_diamond(cpt, rpt, lineno))
@@ -396,12 +400,7 @@ def parse_task(text: str) -> TaskSpec:
                 raise TaskFormatError(lineno, "top-level diamond needs a name")
             if name in diamonds:
                 raise TaskFormatError(lineno, f"duplicate diamond {name!r}")
-            kv = _split_kv_points(body, lineno)
-            if set(kv) != {"c", "r"}:
-                raise TaskFormatError(lineno, "diamond needs c=(..) r=(..)")
-            cpt = _parse_point(kv["c"], lineno, dim)
-            rpt = _parse_point(kv["r"], lineno, dim)
-            diamonds[name] = _make_diamond(cpt, rpt, lineno)
+            diamonds[name] = _parse_diamond(body, lineno, dim)
         elif head == "region":
             if len(toks) != 3 or toks[2] != "{":
                 raise TaskFormatError(lineno, "region line must be: region NAME {")
@@ -496,27 +495,23 @@ def fixture_names() -> list[str]:
 # --------------------------------------------------------------------
 
 
-def embed_access_structure(structure: AccessStructure,
-                           spacing: float = 1.0) -> TaskSpec:
+def embed_access_structure(structure: AccessStructure) -> TaskSpec:
     """Geometric realization of an abstract access structure.
 
-    Each party becomes a point diamond at time 0, spaced along the x axis so
-    distinct parties are spacelike separated; the start point sits far enough
-    in the past to reach them all.  The resulting localize-exclude task's
-    verdict coincides with the structure check: two embedded regions are
-    causally connected exactly when they share a party, and an escape through
-    one point set avoiding another exists exactly when the first is not
-    contained in the second.
+    Each party becomes a point diamond at time 0, one unit apart along the
+    x axis so distinct parties are spacelike separated; the start point sits
+    far enough in the past to reach them all.  The resulting
+    localize-exclude task's verdict coincides with the structure check: two
+    embedded regions are causally connected exactly when they share a party,
+    and an escape through one point set avoiding another exists exactly when
+    the first is not contained in the second.
     """
-    if spacing <= 0:
-        raise TaskError("spacing must be positive")
     parties = structure.parties
     regions: dict[str, Region] = {}
     for i, name in enumerate(parties):
-        p = point(0.0, spacing * i)
+        p = point(0.0, i)
         regions[name] = Region(name, (Diamond(p, p),))
-    width = spacing * max(1, len(parties))
-    start = point(-2.0 * width, 0.0)
+    start = point(-2.0 * max(1, len(parties)), 0.0)
     task = TaskSpec(
         kind="localize_exclude", dim=1, start=start,
         regions=regions, authorized=structure.authorized,

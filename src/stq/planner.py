@@ -35,8 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 from .geometry import (Diamond, Point, causal_leq, connected,
                        earliest_point_after, escape_exists,
-                       extract_escape_path, from_lightcone, point,
-                       to_lightcone)
+                       extract_escape_path, from_lightcone, to_lightcone)
 from .model import TaskSpec
 from .feasibility import b1_peel, check_task
 
@@ -61,7 +60,7 @@ class Plan:
     events: list[Event]
     notes: list[str] = field(default_factory=list)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         def enc(x):
             if isinstance(x, Point):
                 return [x.t, *x.x]
@@ -73,7 +72,7 @@ class Plan:
         body = {"kind": self.kind,
                 "notes": self.notes,
                 "events": [enc(e) for e in self.events]}
-        return json.dumps(body, indent=indent)
+        return json.dumps(body, indent=2)
 
     def lines(self) -> list[str]:
         out = [f"plan for {self.kind} task: {len(self.events)} events"]

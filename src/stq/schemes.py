@@ -128,7 +128,6 @@ class CostReport:
     quantum_shares: int
     quantum_qubits: int
     classical_bits: int
-    shamir_scaling: str
 
     def lines(self) -> list[str]:
         return [
@@ -136,7 +135,6 @@ class CostReport:
             f"quantum shares     {self.quantum_shares}",
             f"quantum qubits     {self.quantum_qubits}",
             f"classical key bits {self.classical_bits}",
-            f"shamir alternative {self.shamir_scaling}",
         ]
 
 
@@ -145,9 +143,7 @@ def scheme_cost(n: int, m: int, key_bits: int = 8) -> CostReport:
 
     One quantum share per unordered pair of authorized sets (two qubits each
     in the qubit accounting), and three independently split key copies per
-    share: 3 * m * C(n,2) * key_bits classical bits in total.  Shamir
-    sharing of the same keys scales like C(n,2) * key_bits * O(log m) and is
-    reported as an asymptotic note only.
+    share: 3 * m * C(n,2) * key_bits classical bits in total.
     """
     if n < 2:
         raise ValueError("need at least two authorized sets")
@@ -159,5 +155,4 @@ def scheme_cost(n: int, m: int, key_bits: int = 8) -> CostReport:
         quantum_shares=edges,
         quantum_qubits=2 * edges,
         classical_bits=3 * m * edges * key_bits,
-        shamir_scaling=f"~{edges * key_bits} * O(log m) bits (asymptotic)",
     )

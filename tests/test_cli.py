@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 from stq.cli import cli, render_svg
 from stq.model import fixture, parse_task, serialize_task
-from stq.planner import plan_task
+from stq.feasibility import check_task
+from stq.planner import PlanningError, Unsupported, plan_task
 from stq.schemes import scheme_cost
 
 FEASIBLE = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
@@ -48,6 +49,32 @@ def test_check_infeasible(runner, task_file, name):
     assert res.output.splitlines()[0] == "infeasible"
     tail = json.loads(res.output.splitlines()[-1])
     assert tail["feasible"] is False and tail["violations"]
+
+
+BOTH_SIDES = """task state_assembly
+start (-1, 0)
+diamond D1 c=(0, 0) r=(2, 0)
+authorized D1
+unauthorized D1
+"""
+
+
+def test_set_on_both_sides_is_a_iii_verdict(runner, tmp_path):
+    task = parse_task(BOTH_SIDES)
+    verdict = check_task(task)
+    assert [(v.condition, v.subject) for v in verdict.violations] == [
+        ("III", ("D1", "D1"))]
+    with pytest.raises(PlanningError, match="checker rejected") as refusal:
+        plan_task(task)
+    assert not isinstance(refusal.value, Unsupported)
+    path = tmp_path / "both.stq"
+    path.write_text(BOTH_SIDES)
+    res = runner.invoke(cli, ["check", str(path)])
+    assert res.exit_code == 2
+    tail = json.loads(res.output.splitlines()[-1])
+    assert tail == {"feasible": False,
+                    "violations": [str(verdict.violations[0])]}
+    assert tail["violations"][0].startswith("III [D1, D1]: ")
 
 
 def test_check_embeddable_structure(runner, task_file):

@@ -175,7 +175,7 @@ def test_connected_examples():
 
 
 @given(int_box, int_box)
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_connected_matches_lattice_scan(ba, bb):
     da, db = box_diamond(*ba), box_diamond(*bb)
     assert connected(da, db) == brute_boxes_linked(ba, bb)
@@ -277,6 +277,38 @@ def test_escape_path_is_a_valid_witness(seed):
     else:
         with pytest.raises(ValueError):
             extract_escape_path(tgt, obstacles)
+
+
+# Hand-traced witnesses.  The grid is the breakpoints plus one sentinel
+# line on each side; the curve starts one unit below the lowest breakpoint
+# on both axes and enters each face no earlier than its anchor: a
+# breakpoint line itself, an interval's midpoint, or one unit past the
+# finite breakpoints in a sentinel interval.
+PINNED_WITNESSES = {
+    # target {2} x [1, 2], obstacle point (2, 2): the curve climbs the low
+    # sentinel interval of u at 1 (its midpoint is 0.5), meets the target
+    # at the middle of its edge, then leaves at u = 3 (the midpoint is 3.5)
+    "sentinel interval": (
+        box_diamond(2, 2, 1, 2), [box_diamond(2, 2, 2, 2)],
+        [(1, 0), (1, 1), (1, 1.5), (2, 1.5), (3, 1.5), (3, 2), (3, 3)]),
+    # target [0, 1] x {2}, obstacle point (0, 2): the curve reaches the
+    # line v = 2 at the middle of the target and rides it to u = 1
+    "breakpoint line": (
+        box_diamond(0, 1, 2, 2), [box_diamond(0, 0, 2, 2)],
+        [(-1, 1), (0, 1), (0.5, 1), (0.5, 2), (1, 2), (2, 3)]),
+    # target point (2, 5), obstacle point (2, 3): the curve passes the
+    # obstacle at u = 1 and steps diagonally through the target vertex
+    "vertex": (
+        from_lightcone(2, 5), [box_diamond(2, 2, 3, 3)],
+        [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_escape_path_waypoints_are_pinned(name):
+    through, obstacles, uv = PINNED_WITNESSES[name]
+    assert extract_escape_path(through, obstacles) == [
+        from_lightcone(u, v) for u, v in uv]
 
 
 # The raster cannot decide grazing contact, so the face-graph oracle checks

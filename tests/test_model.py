@@ -100,6 +100,7 @@ def test_set_label():
 
 
 REGION_A = "region A {\n box u=[1,2] v=[1,2]\n}\n"
+REGION_B = "region B {\n box u=[4,5] v=[4,5]\n}\n"
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -112,6 +113,11 @@ REGION_A = "region A {\n box u=[1,2] v=[1,2]\n}\n"
      "authorized B\n", "unknown"),
     ("task state_assembly\nstart (0,0)\ndiamond D c=(0,0) r=(1,0)\n"
      "authorized D\nauthorized D\n", "duplicate"),
+    ("task localize_exclude\nstart (0, 0)\n" + REGION_A +
+     "authorized A\nauthorized A\n", "duplicate name set 'A'"),
+    ("task localize_exclude\nstart (0, 0)\n" + REGION_A + REGION_B +
+     "authorized A\nunauthorized B\nunauthorized B\n",
+     "duplicate name set 'B'"),
 ])
 def test_invalid_tasks_are_rejected(text, fragment):
     with pytest.raises(TaskError) as err:
@@ -207,12 +213,6 @@ def test_embed_layout():
     assert pa.c.t == pb.c.t == 0.0
     assert pa.c.x != pb.c.x
     assert task.start is not None and task.start.t < 0
-
-
-def test_embed_rejects_bad_spacing():
-    s = struct("AB", [("A", "B")], [])
-    with pytest.raises(TaskError):
-        embed_access_structure(s, spacing=0.0)
 
 
 def test_embed_fixture_parses_as_localize_exclude():

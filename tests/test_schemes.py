@@ -119,7 +119,7 @@ def test_scheme_cost_values():
     assert rep.quantum_shares == 3
     assert rep.quantum_qubits == 6
     assert rep.classical_bits == 3 * 4 * 3 * 8
-    assert len(rep.lines()) == 5
+    assert len(rep.lines()) == 4
 
 
 def test_scheme_cost_errors():
