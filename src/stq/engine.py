@@ -96,7 +96,6 @@ class ScenarioResult:
 @dataclass
 class SimulationReport:
     kind: str
-    seed: int
     tol: float
     scenarios: list[ScenarioResult]
     min_fidelity: float | None
@@ -663,7 +662,7 @@ def _battery(task: TaskSpec) -> list[frozenset[str]]:
     if task.kind == "state_assembly":
         names = sorted(task.diamonds)
         if 2 ** len(names) > _MAX_PATTERNS:
-            raise EngineError(
+            raise ValueError(
                 f"{2 ** len(names)} call patterns exceed the battery cap")
         out: list[frozenset[str]] = []
         for r in range(len(names) + 1):
@@ -696,7 +695,7 @@ def _collections_for(task: TaskSpec):
 # --------------------------------------------------------------------
 
 
-def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
+def simulate(plan: Plan, tol: float = 1e-9,
              max_key_enumeration: int = 3, key_samples: int = 24,
              access: str | None = None,
              calls: Iterable[str] | None = None) -> SimulationReport:
@@ -714,27 +713,30 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
     scenarios share one table of dense states, so each distinct quantum
     history (see `_run`) is evolved once per call.
 
-    `seed`, `max_key_enumeration` and `key_samples` no longer change the
-    result; they are kept so existing callers still bind, and `seed` is
-    only echoed in the report.  `access` restricts scoring to the one named
-    collection; `calls` restricts the battery to the one given call
-    pattern.  If they leave no collection to score, EngineError names the
-    pattern rather than reporting a vacuous PASS.  Transfer tasks fix
-    their own scenarios and accept neither.
+    `max_key_enumeration` and `key_samples` no longer change the result;
+    they are kept because the benchmark tracer
+    (`perfbench/tracer.py::_count_simulate`) reads them by name.  `access`
+    restricts scoring to the one named collection; `calls` restricts the
+    battery to the one given call pattern.  An unknown label or diamond,
+    or a choice that leaves no collection to score, raises ValueError
+    naming it rather than reporting a vacuous PASS, and so does an
+    assembly battery past the cap of 4096 call patterns.  Transfer tasks
+    fix their own scenarios and accept neither.  EngineError means the
+    plan failed its audit.
     """
     validate_plan(plan)
     task = plan.task
     d = task.secret_dim
     if task.kind == "pit":
         if access is not None or calls is not None:
-            raise EngineError("transfer scenarios are fixed by the task")
-        return _simulate_pit(plan, seed, tol)
+            raise ValueError("transfer scenarios are fixed by the task")
+        return _simulate_pit(plan, tol)
     if calls is not None:
         bad = set(calls) - set(task.diamonds)
         if bad:
-            raise EngineError(f"unknown call diamonds {sorted(bad)}")
+            raise ValueError(f"unknown call diamonds {sorted(bad)}")
         if task.kind == "localize_exclude":
-            raise EngineError("localize-exclude has no call pattern")
+            raise ValueError("localize-exclude has no call pattern")
 
     zero = {ev["name"]: (0, 0) for ev in plan.events if ev["op"] == "key"}
     deliveries, exclusions = _collections_for(task)
@@ -742,7 +744,7 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
         deliveries = [t for t in deliveries if t[0] == access]
         exclusions = [t for t in exclusions if t[0] == access]
         if not deliveries and not exclusions:
-            raise EngineError(
+            raise ValueError(
                 f"no authorized or excluded collection labeled {access!r}")
     geometric = task.kind == "localize_exclude"
     battery = ([frozenset(calls)] if calls is not None else _battery(task))
@@ -751,7 +753,7 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
         where = ("the battery" if calls is None
                  else f"call pattern {_fmt_calls(sorted(set(calls)))}")
         scope = "" if access is None else f" with access {access!r}"
-        raise EngineError(f"{where} scores no collection{scope}")
+        raise ValueError(f"{where} scores no collection{scope}")
     scenarios: list[ScenarioResult] = []
     fids: list[float] = []
     leaks: list[float] = []
@@ -787,7 +789,7 @@ def simulate(plan: Plan, seed: int = 0, tol: float = 1e-9,
               and (max_leak is None or max_leak <= tol))
     notes = [f"{len(zero)} pad key(s), exact Weyl twirl over the keys "
              "each view lacks"]
-    return SimulationReport(task.kind, seed, tol, scenarios, min_fid,
+    return SimulationReport(task.kind, tol, scenarios, min_fid,
                             max_leak, None, passed, notes)
 
 
@@ -829,7 +831,7 @@ def _pit_battery(task: TaskSpec) -> list[tuple[int, str, frozenset[str]]]:
     return out
 
 
-def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
+def _simulate_pit(plan: Plan, tol: float) -> SimulationReport:
     task = plan.task
     d = task.secret_dim
     pair_map = {pname: (d1, d2) for pname, d1, d2 in task.pit_pairs()}
@@ -887,25 +889,29 @@ def _simulate_pit(plan: Plan, seed: int, tol: float) -> SimulationReport:
     min_chi = min(chis)
     passed = min_fid >= 1.0 - tol and min_chi >= 1.0 - tol
     return SimulationReport(
-        "pit", seed, tol, scenarios, min_fid, None, min_chi, passed,
+        "pit", tol, scenarios, min_fid, None, min_chi, passed,
         ["all honest receiver and left-over pair choices enumerated"])
 
 
-def pit_cheat_chi_probability(seed: int = 0) -> float:
-    """Certification probability against the two-codeword cheat.
+def pit_cheat_chi_probability() -> float:
+    """Best certification probability against the two-codeword cheat.
 
-    A dishonest sender who prepares two independent codewords — one whose
-    shares reach the chosen receiver, another contributing the share kept
-    by the other party — faces a check measurement on two slots that are
-    maximally mixed and uncorrelated, so the check passes with probability
-    1/9 whatever states were encoded.
+    A dishonest sender prepares two independent codewords: one whose
+    shares reach the chosen receiver, and one of a decoy state that
+    contributes the share kept by the other party.  The pass probability
+    is a quadratic form in the decoy.  With the decoy purified as half of
+    a maximally entangled (phi, anc) pair, the 3x3 operator
+    M = 3 Tr_{a1,b2}[(|chi><chi| (x) I) rho_{a1,b2,anc}] gives decoy phi
+    the pass probability <phi*|M|phi*>, so its largest eigenvalue is the
+    best decoy's.  All three eigenvalues are 1/9: the two checked slots
+    are maximally mixed and uncorrelated whatever the decoy.
     """
-    rng = np.random.default_rng(seed)
     state = qsim.maximally_entangled(3, ("ref", "psi"))
     state = schemes.code23_encode(state, "psi", ["a0", "a1", "a2"])
-    decoy = qsim.haar_state(qsim.Register([("phi", 3)]), rng)
-    state = state.tensor(decoy)
+    state = state.tensor(qsim.maximally_entangled(3, ("phi", "anc")))
     state = schemes.code23_encode(state, "phi", ["b0", "b1", "b2"])
     state = schemes.code23_decode(state, (0, 1), "a0", "a1")
-    return qsim.fidelity(qsim.partial_trace(state, ["a1", "b2"]),
-                         schemes.chi_state())
+    rho = qsim.partial_trace(state, ["a1", "b2", "anc"]).reshape(9, 3, 9, 3)
+    chi = schemes.chi_state()
+    m = 3 * np.einsum("i,iajb,j->ab", chi.conj(), rho, chi)
+    return float(np.linalg.eigvalsh(m)[-1])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import Diamond, causal_leq, connected, escape_exists
-from .model import AccessStructure, TaskError, TaskSpec
+from .model import TaskError, TaskSpec
 
 _CONDITION_RANK = {"I_A": 0, "I_B": 1, "II": 2, "III": 3, "B1": 4}
 
@@ -65,19 +65,15 @@ def _verdict(violations: Iterable[Violation]) -> Verdict:
 
 
 def check_task(task: TaskSpec) -> Verdict:
-    """Decide feasibility of a validated task and explain any failure."""
-    task.validate()
-    if task.kind == "localize_exclude":
-        return _check_localize_exclude(task)
-    if task.kind == "state_assembly":
-        return _check_assembly(task)
-    if task.kind == "summoning":
-        return _check_summoning(task)
-    if task.kind == "pit":
-        # validate() already enforced the pair topology, which is the whole
-        # feasibility story for transfer tasks.
-        return Verdict(True, ())
-    return check_access_structure(task.access_structure())
+    """Decide feasibility of a task and explain any failure.
+
+    The verdict is computed once per task object and stored on it, so a
+    later call (the planner's, say) returns the same verdict."""
+    verdict = task._verdict
+    if verdict is None:
+        verdict = _CHECKS[task.kind](task)
+        object.__setattr__(task, "_verdict", verdict)
+    return verdict
 
 
 # --------------------------------------------------------------------
@@ -257,12 +253,12 @@ def b1_peel(task: TaskSpec) -> tuple[list[str], tuple[str, ...]]:
 
 
 # --------------------------------------------------------------------
-# abstract access structures
+# abstract access structures and transfer
 # --------------------------------------------------------------------
 
 
-def check_access_structure(structure: AccessStructure) -> Verdict:
-    """Feasibility of an abstract structure, before any embedding.
+def _check_structure(task: TaskSpec) -> Verdict:
+    """Feasibility of an access structure, before any embedding.
 
     Mirrors the geometric conditions: two authorized sets must share a
     party (II), and no authorized set may be contained in an unauthorized
@@ -270,8 +266,8 @@ def check_access_structure(structure: AccessStructure) -> Verdict:
     embedding is free to place the start early.
     """
     out: list[Violation] = []
-    auth = [(TaskSpec.set_label(s), frozenset(s)) for s in structure.authorized]
-    excl = [(TaskSpec.set_label(s), frozenset(s)) for s in structure.unauthorized]
+    auth = [(task.set_label(s), frozenset(s)) for s in task.authorized]
+    excl = [(task.set_label(s), frozenset(s)) for s in task.unauthorized]
     for (la, sa), (lb, sb) in itertools.combinations(auth, 2):
         if not sa & sb:
             out.append(Violation(
@@ -284,3 +280,18 @@ def check_access_structure(structure: AccessStructure) -> Verdict:
                     "III", (la, lu),
                     "an unauthorized coalition contains a full authorized set"))
     return _verdict(out)
+
+
+def _check_pit(task: TaskSpec) -> Verdict:
+    # the constructor already enforced the pair topology, which is the
+    # whole feasibility story for transfer tasks
+    return Verdict(True, ())
+
+
+_CHECKS = {
+    "localize_exclude": _check_localize_exclude,
+    "state_assembly": _check_assembly,
+    "summoning": _check_summoning,
+    "pit": _check_pit,
+    "access_structure": _check_structure,
+}

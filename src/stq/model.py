@@ -22,12 +22,16 @@ values that overflow a float are parse errors.  Access-structure name sets
 list parties; in every other task what a name set on an
 authorized/unauthorized line denotes is `TaskSpec.collection`: the union of
 the named regions for localize-exclude tasks, the named diamonds otherwise.
-A name set repeated within the authorized lines, or within the unauthorized
-lines, is an error; a set on both an authorized and an unauthorized line is
-not, since the checker reports it as a condition-III violation.
+One name-set rule holds for all three kinds: a set is not empty, names no
+name twice and names only known parties, regions or diamonds, and no set
+repeats within the authorized lines or within the unauthorized lines.  A
+set on both an authorized and an unauthorized line is not an error, since
+the checker reports it as a condition-III violation.
 `summoning:multiple_call_multiple_return` is read as the state_assembly
-task it is.  Parse errors carry 1-based line numbers.  The serializer emits
-a canonical form that parses back to an identical task.
+task it is.  Parse errors carry 1-based line numbers.  A `TaskSpec` is
+frozen and validates itself when it is made, however it is made, so every
+task in hand is valid.  The serializer emits a canonical form that parses
+back to an identical task.
 """
 
 from __future__ import annotations
@@ -61,17 +65,15 @@ class TaskFormatError(TaskError):
 
 
 @dataclass(frozen=True)
-class AccessStructure:
-    """Abstract access structure over named parties."""
-
-    parties: tuple[str, ...]
-    authorized: tuple[tuple[str, ...], ...]
-    unauthorized: tuple[tuple[str, ...], ...]
-
-
-@dataclass
 class TaskSpec:
-    """One spacetime task instance, as loaded from a .stq file."""
+    """One spacetime task instance, valid from construction on.
+
+    `__post_init__` raises TaskError on structural problems, so a parsed
+    task, an embedded one, a `dataclasses.replace` copy and a task built in
+    code are all validated once, when they are made.  The task is frozen;
+    its `regions` and `diamonds` dicts must not be changed in place either.
+    Geometry-level problems (unreachable regions etc.) are the feasibility
+    checker's job."""
 
     kind: str
     dim: int = 1
@@ -83,6 +85,11 @@ class TaskSpec:
     parties: tuple[str, ...] = ()
     authorized: tuple[tuple[str, ...], ...] = ()
     unauthorized: tuple[tuple[str, ...], ...] = ()
+
+    # The verdict, stored on the instance by the first `check_task` call.
+    # Not a field, so equality and repr still see the task alone, and a
+    # `dataclasses.replace` copy is checked afresh.
+    _verdict = None
 
     # ---- naming helpers -------------------------------------------------
 
@@ -102,16 +109,9 @@ class TaskSpec:
             ds = [self.diamonds[n] for n in names]
         return self.set_label(names), tuple(ds)
 
-    def access_structure(self) -> AccessStructure:
-        if self.kind != "access_structure":
-            raise TaskError("not an access-structure task")
-        return AccessStructure(self.parties, self.authorized, self.unauthorized)
-
     # ---- validation -----------------------------------------------------
 
-    def validate(self) -> None:
-        """Raise TaskError on structural problems.  Geometry-level problems
-        (unreachable regions etc.) are the feasibility checker's job."""
+    def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise TaskError(f"unknown task kind {self.kind!r}")
         if self.kind == "summoning":
@@ -120,7 +120,11 @@ class TaskSpec:
         if self.secret_dim < 2:
             raise TaskError("secret_dim must be at least 2")
         if self.kind == "access_structure":
-            self._validate_structure()
+            if not self.parties:
+                raise TaskError("access structure has no parties")
+            if len(set(self.parties)) != len(self.parties):
+                raise TaskError("duplicate party names")
+            self._validate_sets()
             return
         if self.start is None:
             raise TaskError("task has no start point")
@@ -146,11 +150,15 @@ class TaskSpec:
             self._validate_pit()
 
     def _validate_sets(self) -> None:
-        """Each name set names known regions (localize-exclude) or
-        diamonds (assembly), and no set repeats within the authorized lines
-        or within the unauthorized ones.  A set on both sides is not an
-        error here: the checker reports it as a III violation."""
-        if self.kind == "localize_exclude":
+        """The one name-set rule.  Names are parties (access structures),
+        regions (localize-exclude) or diamonds (assembly).  There is at
+        least one authorized set; no set is empty, names a name twice or
+        names an unknown one; and no set repeats within the authorized
+        lines or within the unauthorized ones.  A set on both sides is not
+        an error here: the checker reports it as a III violation."""
+        if self.kind == "access_structure":
+            noun, known, stray = "party", self.parties, None
+        elif self.kind == "localize_exclude":
             noun, known, stray = "region", self.regions, self.diamonds
         else:
             noun, known, stray = "diamond", self.diamonds, self.regions
@@ -163,6 +171,9 @@ class TaskSpec:
             for s in sets:
                 if not s:
                     raise TaskError("empty name set")
+                if len(set(s)) != len(s):
+                    raise TaskError(
+                        f"duplicate names in set {self.set_label(s)!r}")
                 if s in seen:
                     raise TaskError(
                         f"duplicate name set {self.set_label(s)!r}")
@@ -204,23 +215,6 @@ class TaskSpec:
             if not causal_leq(self.start, self.diamonds[n].c):
                 raise TaskError(
                     f"pit start must causally precede call point of {n!r}")
-
-    def _validate_structure(self) -> None:
-        if not self.parties:
-            raise TaskError("access structure has no parties")
-        if len(set(self.parties)) != len(self.parties):
-            raise TaskError("duplicate party names")
-        if not self.authorized:
-            raise TaskError("access structure has no authorized sets")
-        known = set(self.parties)
-        for s in self.authorized + self.unauthorized:
-            if not s:
-                raise TaskError("empty name set")
-            if len(set(s)) != len(s):
-                raise TaskError(f"duplicate names in set {self.set_label(s)!r}")
-            for n in s:
-                if n not in known:
-                    raise TaskError(f"unknown party {n!r}")
 
     def pit_pairs(self) -> list[tuple[str, Diamond, Diamond]]:
         """(pair name, party-1 diamond, party-2 diamond), pair names sorted."""
@@ -274,28 +268,6 @@ def _parse_interval(key: str, inner: str,
     return lo, hi
 
 
-def _split_kv_points(rest: str, lineno: int) -> dict[str, str]:
-    """Split 'c=(..) r=(..)' into {'c': '(...)', 'r': '(...)'}."""
-    out: dict[str, str] = {}
-    i = 0
-    while i < len(rest):
-        if rest[i].isspace():
-            i += 1
-            continue
-        eq = rest.find("=", i)
-        if eq < 0:
-            raise TaskFormatError(lineno, f"expected key=(...) in {rest!r}")
-        key = rest[i:eq].strip()
-        if eq + 1 >= len(rest) or rest[eq + 1] != "(":
-            raise TaskFormatError(lineno, f"expected '(' after {key}=")
-        close = rest.find(")", eq + 1)
-        if close < 0:
-            raise TaskFormatError(lineno, "unterminated point")
-        out[key] = rest[eq + 1:close + 1]
-        i = close + 1
-    return out
-
-
 def _make_diamond(cpt: Point, rpt: Point, lineno: int) -> Diamond:
     try:
         return Diamond(cpt, rpt)
@@ -303,21 +275,26 @@ def _make_diamond(cpt: Point, rpt: Point, lineno: int) -> Diamond:
         raise TaskFormatError(lineno, str(exc)) from None
 
 
+# A diamond body: the two points `c=(..)` and `r=(..)` in either order.
+# Space may stand around each point and before its `=`, not after it.
+_DIAMOND_BODY = re.compile(
+    r"\s*([cr])\s*=(\([^)]*\))\s*([cr])\s*=(\([^)]*\))\s*")
+
+
 def _parse_diamond(body: str, lineno: int, dim: int) -> Diamond:
     """The diamond of a `diamond` line's `c=(..) r=(..)` body, top-level
     or inside a region block."""
-    kv = _split_kv_points(body, lineno)
-    if set(kv) != {"c", "r"}:
+    m = _DIAMOND_BODY.fullmatch(body)
+    if m is None or m[1] == m[3]:
         raise TaskFormatError(lineno, "diamond needs c=(..) r=(..)")
+    kv = {m[1]: m[2], m[3]: m[4]}
     return _make_diamond(_parse_point(kv["c"], lineno, dim),
                          _parse_point(kv["r"], lineno, dim), lineno)
 
 
 def parse_task(text: str) -> TaskSpec:
-    """Parse .stq content; raises TaskFormatError with line numbers.
-
-    The returned task has been validated with TaskSpec.validate().
-    """
+    """Parse .stq content; raises TaskFormatError with line numbers, and
+    TaskError for a task its constructor rejects (see `TaskSpec`)."""
     kind: str | None = None
     variant: str | None = None
     dim = 1
@@ -424,14 +401,12 @@ def parse_task(text: str) -> TaskSpec:
     if kind is None:
         raise TaskFormatError(1, "missing task line")
 
-    task = TaskSpec(
+    return TaskSpec(
         kind=kind, dim=dim, variant=variant, start=start,
         secret_dim=secret_dim, regions=regions, diamonds=diamonds,
         parties=tuple(parties), authorized=tuple(authorized),
         unauthorized=tuple(unauthorized),
     )
-    task.validate()
-    return task
 
 
 # --------------------------------------------------------------------
@@ -495,8 +470,8 @@ def fixture_names() -> list[str]:
 # --------------------------------------------------------------------
 
 
-def embed_access_structure(structure: AccessStructure) -> TaskSpec:
-    """Geometric realization of an abstract access structure.
+def embed_access_structure(structure: TaskSpec) -> TaskSpec:
+    """Geometric realization of an access-structure task.
 
     Each party becomes a point diamond at time 0, one unit apart along the
     x axis so distinct parties are spacelike separated; the start point sits
@@ -504,18 +479,20 @@ def embed_access_structure(structure: AccessStructure) -> TaskSpec:
     localize-exclude task's verdict coincides with the structure check: two
     embedded regions are causally connected exactly when they share a party,
     and an escape through one point set avoiding another exists exactly when
-    the first is not contained in the second.
+    the first is not contained in the second.  Raises TaskError for a task
+    of any other kind.
     """
+    if structure.kind != "access_structure":
+        raise TaskError(
+            f"a {structure.kind} task is not an access structure")
     parties = structure.parties
     regions: dict[str, Region] = {}
     for i, name in enumerate(parties):
         p = point(0.0, i)
         regions[name] = Region(name, (Diamond(p, p),))
     start = point(-2.0 * max(1, len(parties)), 0.0)
-    task = TaskSpec(
+    return TaskSpec(
         kind="localize_exclude", dim=1, start=start,
         regions=regions, authorized=structure.authorized,
         unauthorized=structure.unauthorized,
     )
-    task.validate()
-    return task

@@ -115,13 +115,6 @@ def maximally_entangled(d: int, labels: tuple[str, str] = ("a", "b")) -> State:
     return State(reg, vec / np.sqrt(d))
 
 
-def haar_state(register: Register, rng: np.random.Generator) -> State:
-    """Haar-random pure state: normalized vector of iid complex Gaussians."""
-    n = register.total_dim
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return State(register, vec / np.linalg.norm(vec))
-
-
 # --------------------------------------------------------------------
 # operators
 # --------------------------------------------------------------------

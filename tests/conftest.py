@@ -23,8 +23,8 @@ def cached_plan(name: str):
 
 
 @functools.lru_cache(maxsize=None)
-def cached_report(name: str, seed: int = 0):
-    return simulate(cached_plan(name), seed=seed)
+def cached_report(name: str):
+    return simulate(cached_plan(name))
 
 
 @pytest.fixture(scope="session")

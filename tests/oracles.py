@@ -4,8 +4,10 @@ Everything here is an independent re-derivation -- index loops, dense
 arrays, raster grids -- of something src/stq computes more cleverly.
 Slow and transparent on purpose: when a test disagrees with an oracle,
 the oracle is the side to believe.  Nothing in this module imports stq,
-except the pad-key enumeration at the end, which re-runs the engine's own
-interpreter for every key assignment so that only key scoring differs.
+with two exceptions: `haar_state` wraps its random vector in the qsim
+state the tests feed to the package, and the pad-key enumeration at the
+end re-runs the engine's own interpreter for every key assignment so that
+only key scoring differs.
 """
 
 from __future__ import annotations
@@ -306,6 +308,21 @@ def oracle_decode_front_pair():
         want = np.kron(np.eye(3)[q], chi)
         assert np.allclose(got, want), "decode self-check failed"
     return u
+
+
+# --------------------------------------------------------------------
+# random test states
+# --------------------------------------------------------------------
+
+
+def haar_state(register, rng):
+    """Haar-random pure state on a qsim register: a normalized vector of
+    iid complex Gaussians."""
+    from stq.qsim import State
+
+    n = register.total_dim
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return State(register, vec / np.linalg.norm(vec))
 
 
 # --------------------------------------------------------------------

@@ -11,12 +11,12 @@ from math import comb
 
 import numpy as np
 
-from oracles import oracle_pit_cheat, raster_escape
+from oracles import haar_state, oracle_pit_cheat, raster_escape
 from stq import engine, qsim, schemes
 from stq.engine import pit_cheat_chi_probability, simulate
-from stq.feasibility import check_access_structure, check_task
+from stq.feasibility import check_task
 from stq.geometry import Region, escape_exists
-from stq.model import AccessStructure, embed_access_structure
+from stq.model import TaskSpec, embed_access_structure
 from test_geometry import box_diamond, random_escape_instance
 
 
@@ -67,7 +67,7 @@ def test_criterion_2_pair_decodable_code():
     chi = schemes.chi_state()
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        psi = qsim.haar_state(qsim.Register([("s", 3)]), rng)
+        psi = haar_state(qsim.Register([("s", 3)]), rng)
         enc = schemes.code23_encode(psi, "s", ["s0", "s1", "s2"])
         for i in range(3):
             td = qsim.trace_distance(qsim.partial_trace(enc, [f"s{i}"]), eye3)
@@ -173,20 +173,20 @@ def test_criterion_6_summoning_single_calls(report_of):
 
 def test_criterion_7_transfer_honest_and_cheating(plan_of):
     failures: list[str] = []
-    plan = plan_of("fig15")
-    for seed in range(100):
-        report = simulate(plan, seed=seed)
-        if report.min_fidelity is None or report.min_fidelity < 1.0 - 1e-9:
-            failures.append(f"seed {seed}: fidelity {report.min_fidelity}")
-        if report.min_chi is None or abs(report.min_chi - 1.0) > 1e-9:
-            failures.append(f"seed {seed}: check prob {report.min_chi}")
+    report = simulate(plan_of("fig15"))
+    if report.min_fidelity is None or report.min_fidelity < 1.0 - 1e-9:
+        failures.append(f"fidelity {report.min_fidelity}")
+    if report.min_chi is None or abs(report.min_chi - 1.0) > 1e-9:
+        failures.append(f"check prob {report.min_chi}")
+    # the best decoy's pass probability bounds every sampled decoy's
+    bound = pit_cheat_chi_probability()
+    if abs(bound - 1.0 / 9.0) > 1e-9:
+        failures.append(f"cheat bound {bound} != 1/9")
     for seed in range(10):
         want = oracle_pit_cheat(seed)
-        got = pit_cheat_chi_probability(seed)
-        if abs(got - want) > 1e-12:
-            failures.append(f"cheat seed {seed}: {got} vs oracle {want}")
-        if abs(got - 1.0 / 9.0) > 1e-9:
-            failures.append(f"cheat seed {seed}: {got} != 1/9")
+        if abs(bound - want) > 1e-12:
+            failures.append(f"cheat seed {seed}: bound {bound} vs "
+                            f"oracle {want}")
     _gate("criterion 7: transfer certification honest and cheating",
           failures)
 
@@ -235,10 +235,10 @@ def test_criterion_10_structures_match_their_embeddings():
                     out.append(s)
             return tuple(out)
 
-        s = AccessStructure(parties,
-                            draw(int(rng.integers(1, 7))),
-                            draw(int(rng.integers(0, 9))))
-        abstract = check_access_structure(s)
+        s = TaskSpec(kind="access_structure", parties=parties,
+                     authorized=draw(int(rng.integers(1, 7))),
+                     unauthorized=draw(int(rng.integers(0, 9))))
+        abstract = check_task(s)
         embedded = check_task(embed_access_structure(s))
         if abstract.feasible != embedded.feasible:
             failures.append(f"trial {trial}: verdicts split on {s}")

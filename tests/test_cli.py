@@ -77,6 +77,24 @@ def test_set_on_both_sides_is_a_iii_verdict(runner, tmp_path):
     assert tail["violations"][0].startswith("III [D1, D1]: ")
 
 
+REPEATED_STRUCTURE = """task access_structure
+party A
+party B
+authorized A B
+authorized A B
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "embed"])
+def test_a_repeated_structure_set_is_a_usage_error(runner, tmp_path,
+                                                   command):
+    path = tmp_path / "repeated.stq"
+    path.write_text(REPEATED_STRUCTURE)
+    res = runner.invoke(cli, [command, str(path)])
+    assert res.exit_code == 1
+    assert "duplicate name set 'A+B'" in res.output
+
+
 def test_check_embeddable_structure(runner, task_file):
     res = runner.invoke(cli, ["check", task_file("embed3")])
     assert res.exit_code == 0

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import b1_violations, brute_causal_leq
-from stq.feasibility import Verdict, check_access_structure, check_task
-from stq.model import (AccessStructure, TaskError, embed_access_structure,
-                       fixture, parse_task)
+from stq.feasibility import Verdict, check_task
+from stq.model import (TaskError, TaskSpec, embed_access_structure, fixture,
+                       parse_task)
 
 # verdicts the rest of the suite leans on; each pair is (fixture, feasible)
 GOLDEN = [
@@ -160,23 +160,21 @@ def test_higher_dimensional_exclusion_is_refused():
 
 
 def struct(parties, auth, unauth=()):
-    return AccessStructure(tuple(parties),
-                           tuple(tuple(s) for s in auth),
-                           tuple(tuple(s) for s in unauth))
+    return TaskSpec(kind="access_structure", parties=tuple(parties),
+                    authorized=tuple(tuple(s) for s in auth),
+                    unauthorized=tuple(tuple(s) for s in unauth))
 
 
 def test_structure_hand_verdicts():
-    assert check_access_structure(
-        struct("AB", [("A", "B")], [("A",)])).feasible
-    assert check_access_structure(
+    assert check_task(struct("AB", [("A", "B")], [("A",)])).feasible
+    assert check_task(
         struct("ABC", [("A", "B"), ("B", "C")], [("A", "C")])).feasible
 
-    disjoint = check_access_structure(struct("AB", [("A",), ("B",)]))
+    disjoint = check_task(struct("AB", [("A",), ("B",)]))
     assert not disjoint.feasible
     assert disjoint.violations[0].condition == "II"
 
-    swallowed = check_access_structure(
-        struct("ABC", [("A", "B")], [("A", "B", "C")]))
+    swallowed = check_task(struct("ABC", [("A", "B")], [("A", "B", "C")]))
     assert not swallowed.feasible
     assert swallowed.violations[0].condition == "III"
     assert swallowed.violations[0].subject == ("A+B", "A+B+C")
@@ -185,9 +183,8 @@ def test_structure_hand_verdicts():
 def test_structure_verdict_matches_fixture(task_of):
     base = task_of("embed3")
     s = struct(base.parties, base.authorized, base.unauthorized)
-    direct = check_access_structure(s)
-    via_task = check_task(base)
-    assert direct == via_task
+    assert s == base
+    assert check_task(s) == check_task(base)
 
 
 PARTIES = "ABCDE"
@@ -211,7 +208,7 @@ def test_structure_agrees_with_its_embedding(data):
     # an authorized set may not reappear verbatim among the unauthorized
     unauth = tuple(s for s in unauth if s not in auth)[:8]
     s = struct(parties, auth, unauth)
-    abstract = check_access_structure(s)
+    abstract = check_task(s)
     embedded = check_task(embed_access_structure(s))
     assert abstract.feasible == embedded.feasible
     assert ([(v.condition, v.subject) for v in abstract.violations]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stq.geometry import Diamond, Region, point
-from stq.model import (AccessStructure, TaskError, TaskFormatError, TaskSpec,
+from stq.model import (TaskError, TaskFormatError, TaskSpec,
                        embed_access_structure, fixture, fixture_names,
                        parse_task, serialize_task)
 
@@ -118,11 +118,51 @@ REGION_B = "region B {\n box u=[4,5] v=[4,5]\n}\n"
     ("task localize_exclude\nstart (0, 0)\n" + REGION_A + REGION_B +
      "authorized A\nunauthorized B\nunauthorized B\n",
      "duplicate name set 'B'"),
+    ("task state_assembly\nstart (-1, 0)\ndiamond D1 c=(0,0) r=(1,0)\n"
+     "authorized D1 D1\n", "duplicate names in set 'D1+D1'"),
+    ("task localize_exclude\nstart (0, 0)\n" + REGION_A +
+     "authorized A A\n", "duplicate names in set 'A+A'"),
+    ("task access_structure\nparty A\nparty B\nauthorized A A\n",
+     "duplicate names in set 'A+A'"),
+    ("task access_structure\nparty A\nparty B\n"
+     "authorized A B\nauthorized A B\n", "duplicate name set 'A+B'"),
+    ("task access_structure\nparty A\nauthorized A\n"
+     "unauthorized B\n", "unknown party 'B'"),
 ])
 def test_invalid_tasks_are_rejected(text, fragment):
     with pytest.raises(TaskError) as err:
         parse_task(text)
     assert fragment in str(err.value)
+
+
+DIAMOND_LINE = ("task summoning:single_call_single_return\n"
+                "start (-1, 0)\ndiamond D {}\n")
+
+
+@pytest.mark.parametrize("body", [
+    "c=(0, 0) r=(1, 0.5)", "r=(1, 0.5) c=(0, 0)", "c=(0, 0)r=(1, 0.5)",
+    "c =(0, 0) r =(1, 0.5)", "  c=(0,0)   r=(1,0.5)  ",
+], ids=["plain", "reversed", "no-gap", "space-before-equals", "padded"])
+def test_diamond_bodies_parse_to_one_diamond(body):
+    task = parse_task(DIAMOND_LINE.format(body))
+    assert task.diamonds["D"] == Diamond(point(0, 0), point(1, 0.5))
+
+
+@pytest.mark.parametrize("body", [
+    "c= (0, 0) r=(1, 0)", "c=(0, 0)", "c=(0, 0) r=(1, 0", "c=(0, 0) x=(1, 0)",
+    "c=(0, 0) r=(1, 0) junk", "",
+], ids=["space-after-equals", "missing-r", "unterminated", "unknown-key",
+        "trailing-text", "empty"])
+def test_malformed_diamond_bodies_are_rejected(body):
+    with pytest.raises(TaskFormatError) as err:
+        parse_task(DIAMOND_LINE.format(body))
+    assert err.value.line == 3
+
+
+def test_repeated_diamond_key_is_rejected():
+    with pytest.raises(TaskFormatError, match="diamond needs") as err:
+        parse_task(DIAMOND_LINE.format("c=(0, 0) r=(1, 0) c=(0, 0)"))
+    assert err.value.line == 3
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -175,10 +215,35 @@ def test_dim_mismatch_is_rejected():
 def test_pit_task_shape_is_validated():
     # drop one diamond of a pair from the packaged transfer task
     task = fixture("fig15")
-    broken = dataclasses.replace(
-        task, diamonds={k: v for k, v in task.diamonds.items() if k != "a2"})
-    with pytest.raises(TaskError):
-        broken.validate()
+    with pytest.raises(TaskError, match="six diamonds"):
+        dataclasses.replace(task, diamonds={
+            k: v for k, v in task.diamonds.items() if k != "a2"})
+
+
+@pytest.mark.parametrize("fields, fragment", [
+    (dict(kind="state_assembly", diamonds={"D": Diamond(point(0, 0),
+                                                        point(1, 0))}),
+     "start"),
+    (dict(kind="localize_exclude", start=point(0, 0)), "authorized"),
+    (dict(kind="access_structure", parties=("A", "A"),
+          authorized=(("A",),)), "duplicate party"),
+    (dict(kind="access_structure", parties=("A",), authorized=(("B",),)),
+     "unknown party"),
+    (dict(kind="summoning", variant="sometimes", start=point(0, 0)),
+     "variant"),
+], ids=["no-start", "no-authorized", "twin-parties", "unknown-party",
+        "bad-variant"])
+def test_tasks_built_in_code_are_validated(fields, fragment):
+    with pytest.raises(TaskError, match=fragment):
+        TaskSpec(**fields)
+
+
+def test_tasks_are_frozen():
+    task = fixture("fig12")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.secret_dim = 5
+    with pytest.raises(TaskError, match="variant"):
+        dataclasses.replace(task, variant="sometimes")
 
 
 def test_pit_pairs_are_sorted():
@@ -197,9 +262,9 @@ def test_variant_round_trips_in_kind_line():
 
 
 def struct(parties, auth, unauth):
-    return AccessStructure(tuple(parties),
-                           tuple(tuple(s) for s in auth),
-                           tuple(tuple(s) for s in unauth))
+    return TaskSpec(kind="access_structure", parties=tuple(parties),
+                    authorized=tuple(tuple(s) for s in auth),
+                    unauthorized=tuple(tuple(s) for s in unauth))
 
 
 def test_embed_layout():
@@ -216,12 +281,15 @@ def test_embed_layout():
 
 
 def test_embed_fixture_parses_as_localize_exclude():
-    base = fixture("embed3")
-    s = struct(base.parties, base.authorized, base.unauthorized)
-    task = embed_access_structure(s)
+    task = embed_access_structure(fixture("embed3"))
     text = serialize_task(task)
     again = parse_task(text)
     assert again.authorized == task.authorized
+
+
+def test_embed_takes_only_structures():
+    with pytest.raises(TaskError, match="not an access structure"):
+        embed_access_structure(fixture("fig1"))
 
 
 # a tiny grammar fuzz: serialize triangles of random point diamonds and
@@ -237,7 +305,6 @@ def test_serialize_parse_summoning_round_trip(spots):
         diamonds[f"D{i}"] = Diamond(point(t, x), point(t + 2.0, x))
     task = TaskSpec(kind="summoning", variant="single_call_single_return",
                     dim=1, start=point(-200.0, 0.0), diamonds=diamonds)
-    task.validate()
     again = parse_task(serialize_task(task))
     assert sorted(again.diamonds) == sorted(diamonds)
     for name, d in diamonds.items():

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import stq
 from oracles import b1_violations, brute_causal_leq
-from stq import planner
+from stq import feasibility, planner
 from stq.engine import simulate, validate_plan
 from stq.feasibility import Verdict, check_task
-from stq.model import (AccessStructure, embed_access_structure, fixture,
-                       parse_task, serialize_task)
+from stq.model import (embed_access_structure, fixture, parse_task,
+                       serialize_task)
 from stq.planner import Plan, PlanningError, Unsupported, plan_task
 from test_feasibility import random_corners, summoning_task
 
@@ -64,9 +64,7 @@ def test_unsupported_is_exported_as_a_planning_error():
 def test_abstract_structure_must_be_embedded_first(task_of):
     with pytest.raises(Unsupported, match="embed"):
         plan_task(task_of("embed3"))
-    base = task_of("embed3")
-    s = AccessStructure(base.parties, base.authorized, base.unauthorized)
-    plan = plan_task(embed_access_structure(s))
+    plan = plan_task(embed_access_structure(task_of("embed3")))
     validate_plan(plan)
 
 
@@ -209,6 +207,43 @@ def test_nested_collections_receive_the_state():
     report = simulate(plan_task(parse_task(NESTED)))
     assert report.min_fidelity == pytest.approx(1.0)
     assert report.passed
+
+
+# ROADMAP item 2's repro: D1's call point is D2's return point, and the
+# excluded D1+D2 learns the state
+CALL_ON_A_RETURN = """
+task state_assembly
+start (-1, 0)
+diamond D1 c=(5, 4) r=(10, 4)
+diamond D2 c=(3, 4) r=(5, 4)
+authorized D2
+unauthorized D1 D2
+"""
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="exclude D1+D2 leaks 8/9 (ROADMAP item 2)")
+def test_a_call_on_a_return_point_does_not_leak():
+    task = parse_task(CALL_ON_A_RETURN)
+    assert check_task(task).feasible
+    report = simulate(plan_task(task))
+    assert report.passed, report.lines()
+
+
+def test_a_task_is_checked_once(monkeypatch):
+    task = fixture("fig13")
+    runs = []
+    check = feasibility._CHECKS["state_assembly"]
+    monkeypatch.setitem(feasibility._CHECKS, "state_assembly",
+                        lambda t: runs.append(t) or check(t))
+    verdict = check_task(task)
+    assert check_task(task) is verdict
+    plan_task(task)
+    assert runs == [task]
+    # the stored verdict is not a field, and a copy is checked afresh
+    assert task == fixture("fig13") and repr(task) == repr(fixture("fig13"))
+    assert check_task(dataclasses.replace(task)) == verdict
+    assert len(runs) == 2
 
 
 def test_two_collections_carry_any_dimension(task_of):

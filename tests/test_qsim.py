@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_weyl, qotp_twirl, reduced
+from oracles import haar_state, oracle_weyl, qotp_twirl, reduced
 from stq.qsim import (Register, apply_isometry, apply_unitary, apply_weyl,
                      basis_state, bell_project, depolarize_slot, fidelity,
-                     haar_state, maximally_entangled, partial_trace,
-                     trace_distance, weyl)
+                     maximally_entangled, partial_trace, trace_distance,
+                     weyl)
 
 
 def haar(labels_dims, seed=0):

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import oracle_chi, oracle_code23_isometry, qotp_twirl, reduced
-from stq.qsim import (Register, fidelity, haar_state, maximally_entangled,
+from oracles import (haar_state, oracle_chi, oracle_code23_isometry,
+                     qotp_twirl, reduced)
+from stq.qsim import (Register, fidelity, maximally_entangled,
                       partial_trace, trace_distance)
 from stq.schemes import (chi_state, code23_decode, code23_decode_unitary,
                          code23_encode, code23_isometry, qotp_decrypt,
