@@ -50,7 +50,6 @@ from .geometry import (Diamond, Point, Region, causal_leq, path_is_causal,
 from .model import TaskSpec
 from .planner import Plan
 
-_MAX_PATTERNS = 4096
 _UNIFORMITY_TOL = 1e-9
 
 
@@ -161,18 +160,23 @@ def validate_plan(plan: Plan) -> None:
     rest there, since the slot is only measured when the guard fires.  Every
     quantum label a source, encode or created pair introduces is new to the
     plan and is not the reserved 'ref', since a reused label would name two
-    slots.  A Bell measurement takes two distinct slots, and its far half
-    (the partner of its second slot) must still be alive, since it
-    receives the teleported state.  An encode needs a qutrit secret,
-    because the ((2,3)) code is a qutrit code.  It checks pad-key
-    availability at the pad point, single-use pad keys, pads whose
-    record no later event drops (an encode or a teleport would lose the
-    token's pad stack), that transfer plans carry no pad, and — for
-    localize-exclude plans — that the key part routed against each
-    excluded region never touches it.  Raises EngineError with a specific
-    message on the first violation.
+    slots.  A plan is for a spacetime task, not an abstract access
+    structure.  It has exactly one source and creates no pair before it,
+    so every quantum event acts on the state the source starts.  A Bell
+    measurement takes two distinct slots, and its far half (the partner of
+    its second slot) must still be alive, since it receives the teleported
+    state.  An encode needs a qutrit secret, because the ((2,3)) code is a
+    qutrit code.  It checks pad-key availability at the pad point,
+    single-use pad keys, pads whose record no later event drops (an encode
+    or a teleport would lose the token's pad stack), that transfer plans
+    carry no pad, and — for localize-exclude plans — that the key part
+    routed against each excluded region never touches it.  Raises
+    EngineError with a specific message on the first violation.
     """
     task = plan.task
+    if task.kind == "access_structure":
+        raise EngineError("an access structure names parties, not places; "
+                          "plan its embedding")
     qpos: dict[str, Point] = {}
     qguards: dict[str, list[dict]] = {}
     qbranched: set[str] = set()
@@ -255,6 +259,8 @@ def validate_plan(plan: Plan) -> None:
             for out in ev["outputs"]:
                 qpos[out] = ev["at"]
         elif op == "create_pair":
+            if not sourced:
+                raise EngineError(f"{what}: a pair cannot precede the source")
             la, lb = ev["labels"]
             claim([la, lb], what)
             pair_of[la], pair_of[lb] = lb, la
@@ -357,6 +363,8 @@ def validate_plan(plan: Plan) -> None:
             else:
                 raise EngineError(
                     f"{what}: move of an unknown token {lab!r}")
+    if not sourced:
+        raise EngineError("the plan has no source")
 
     # pad-key availability: the key is born at the pad point, or a complete
     # split copy passes through it along unguarded moves.
@@ -489,11 +497,8 @@ def _run(plan: Plan, calls: frozenset[str],
                 tr.q[out] = _Tok(out, share=idx, paths=[[ev["at"]]])
         elif op == "create_pair":
             la, lb = ev["labels"]
-
-            def grow(s):
-                pair = qsim.maximally_entangled(d, (la, lb))
-                return pair if s is None else s.tensor(pair)
-            advance(i, grow)
+            advance(i, lambda s: s.tensor(
+                qsim.maximally_entangled(d, (la, lb))))
             tr.q[la] = _Tok(la, partner=lb, paths=[[ev["at"]]])
             tr.q[lb] = _Tok(lb, partner=la, paths=[[ev["at"]]])
         elif op == "key":
@@ -646,9 +651,13 @@ def _exclusion_dm(trace: _Trace, view: _View) -> np.ndarray:
 
 
 def _leak_of(dm: np.ndarray, d: int) -> float:
+    """Trace distance between a view-and-reference density matrix and
+    the same view with the reference (the last slot) maximally mixed."""
     n = dm.shape[0] // d
     red = np.trace(dm.reshape(n, d, n, d), axis1=1, axis2=3)
-    return qsim.trace_distance(dm, np.kron(red, np.eye(d) / d))
+    # red (x) I/d, with the axes (view row, ref row, view col, ref col)
+    mixed = np.multiply.outer(red, np.eye(d) / d).transpose(0, 2, 1, 3)
+    return qsim.trace_distance(dm, mixed.reshape(n * d, n * d))
 
 
 # --------------------------------------------------------------------
@@ -657,33 +666,27 @@ def _leak_of(dm: np.ndarray, d: int) -> float:
 
 
 def _battery(task: TaskSpec) -> list[frozenset[str]]:
+    """The call patterns that score something, by size and then by sorted
+    names: the one call-free scenario of localize-exclude, each diamond
+    alone for summoning, and the distinct member sets of the authorized
+    and unauthorized lines for assembly.  Any other assembly pattern would
+    score no collection, since each is scored where exactly its diamonds
+    call."""
     if task.kind == "localize_exclude":
         return [frozenset()]
-    if task.kind == "state_assembly":
-        names = sorted(task.diamonds)
-        if 2 ** len(names) > _MAX_PATTERNS:
-            raise ValueError(
-                f"{2 ** len(names)} call patterns exceed the battery cap")
-        out: list[frozenset[str]] = []
-        for r in range(len(names) + 1):
-            out.extend(frozenset(c)
-                       for c in itertools.combinations(names, r))
-        return out
     if task.kind == "summoning":
         return [frozenset({nm}) for nm in sorted(task.diamonds)]
-    raise EngineError(f"no scenario battery for kind {task.kind!r}")
+    sets = {frozenset(s) for s in task.authorized + task.unauthorized}
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def _collections_for(task: TaskSpec):
     """(label, region, names) of every delivery and every exclusion.  A
-    summoning task delivers to each diamond alone; access-structure sets
-    name parties, not spacetime collections."""
+    summoning task delivers to each diamond alone."""
     def coll(names):
         label, ds = task.collection(names)
         return label, Region(label, ds), names
 
-    if task.kind == "access_structure":
-        return [], []
     auth = ([(nm,) for nm in sorted(task.diamonds)]
             if task.kind == "summoning" else task.authorized)
     return ([coll(s) for s in auth],
@@ -704,14 +707,17 @@ def simulate(plan: Plan, tol: float = 1e-9,
     Every delivery set is scored in the scenario where exactly its
     diamonds call (localize-exclude has a single call-free scenario), and
     every excluded set in the scenario where exactly *its* diamonds call —
-    which is what makes over-calling patterns the interesting ones.  Each
-    scenario runs once, with every pad key at (0, 0), and the scores are
-    exact over all key values: a delivery undoes every pad on the slots it
-    can use and traces the rest out, and an exclusion is scored through
-    the exact Weyl twirl over the keys its view lacks (a collected slot
-    padded with such a key averages to the maximally mixed state).  The
-    scenarios share one table of dense states, so each distinct quantum
-    history (see `_run`) is evolved once per call.
+    which is what makes over-calling patterns the interesting ones.  So
+    the battery holds just those patterns (see `_battery`): an assembly
+    task runs the distinct member sets of its authorized and unauthorized
+    lines, not all 2^n call patterns.  Each scenario runs once, with
+    every pad key at (0, 0), and the scores are exact over all key values:
+    a delivery undoes every pad on the slots it can use and traces the
+    rest out, and an exclusion is scored through the exact Weyl twirl over
+    the keys its view lacks (a collected slot padded with such a key
+    averages to the maximally mixed state).  The scenarios share one table
+    of dense states, so each distinct quantum history (see `_run`) is
+    evolved once per call.
 
     `max_key_enumeration` and `key_samples` no longer change the result;
     they are kept because the benchmark tracer
@@ -719,10 +725,9 @@ def simulate(plan: Plan, tol: float = 1e-9,
     restricts scoring to the one named collection; `calls` restricts the
     battery to the one given call pattern.  An unknown label or diamond,
     or a choice that leaves no collection to score, raises ValueError
-    naming it rather than reporting a vacuous PASS, and so does an
-    assembly battery past the cap of 4096 call patterns.  Transfer tasks
-    fix their own scenarios and accept neither.  EngineError means the
-    plan failed its audit.
+    naming it rather than reporting a vacuous PASS.  Transfer tasks fix
+    their own scenarios and accept neither.  EngineError means the plan
+    failed its audit.
     """
     validate_plan(plan)
     task = plan.task
@@ -747,13 +752,16 @@ def simulate(plan: Plan, tol: float = 1e-9,
             raise ValueError(
                 f"no authorized or excluded collection labeled {access!r}")
     geometric = task.kind == "localize_exclude"
-    battery = ([frozenset(calls)] if calls is not None else _battery(task))
-    if not geometric and not set(battery) & {
-            frozenset(members) for *_, members in deliveries + exclusions}:
-        where = ("the battery" if calls is None
-                 else f"call pattern {_fmt_calls(sorted(set(calls)))}")
-        scope = "" if access is None else f" with access {access!r}"
-        raise ValueError(f"{where} scores no collection{scope}")
+    if calls is None:
+        battery = _battery(task)
+    else:
+        battery = [frozenset(calls)]
+        if battery[0] not in {frozenset(members)
+                              for *_, members in deliveries + exclusions}:
+            scope = "" if access is None else f" with access {access!r}"
+            raise ValueError(
+                f"call pattern {_fmt_calls(sorted(battery[0]))} scores no "
+                f"collection{scope}")
     scenarios: list[ScenarioResult] = []
     fids: list[float] = []
     leaks: list[float] = []

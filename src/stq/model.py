@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import isfinite
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .geometry import (Diamond, Point, Region, causal_leq, connected,
                        from_lightcone, point)
@@ -70,18 +71,19 @@ class TaskSpec:
 
     `__post_init__` raises TaskError on structural problems, so a parsed
     task, an embedded one, a `dataclasses.replace` copy and a task built in
-    code are all validated once, when they are made.  The task is frozen;
-    its `regions` and `diamonds` dicts must not be changed in place either.
-    Geometry-level problems (unreachable regions etc.) are the feasibility
-    checker's job."""
+    code are all validated once, when they are made.  The task is frozen,
+    and it keeps `regions` and `diamonds` as read-only copies of the
+    mappings it was given, so nothing can change a task after it was
+    validated or checked.  Geometry-level problems (unreachable regions
+    etc.) are the feasibility checker's job."""
 
     kind: str
     dim: int = 1
     variant: str | None = None
     start: Point | None = None
     secret_dim: int = 3
-    regions: dict[str, Region] = field(default_factory=dict)
-    diamonds: dict[str, Diamond] = field(default_factory=dict)
+    regions: Mapping[str, Region] = field(default_factory=dict)
+    diamonds: Mapping[str, Diamond] = field(default_factory=dict)
     parties: tuple[str, ...] = ()
     authorized: tuple[tuple[str, ...], ...] = ()
     unauthorized: tuple[tuple[str, ...], ...] = ()
@@ -109,9 +111,20 @@ class TaskSpec:
             ds = [self.diamonds[n] for n in names]
         return self.set_label(names), tuple(ds)
 
+    def __reduce__(self):
+        """Copy and pickle through the constructor, with plain dicts in
+        place of the read-only mappings, which can be neither deep-copied
+        nor pickled.  A copy is validated and checked afresh."""
+        return TaskSpec, tuple(
+            dict(v) if isinstance(v, MappingProxyType) else v
+            for v in (getattr(self, f.name) for f in fields(self)))
+
     # ---- validation -----------------------------------------------------
 
     def __post_init__(self) -> None:
+        for name in ("regions", "diamonds"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
         if self.kind not in _KINDS:
             raise TaskError(f"unknown task kind {self.kind!r}")
         if self.kind == "summoning":

@@ -86,9 +86,8 @@ class State:
         return float(np.linalg.norm(self.vec))
 
     def tensor(self, other: "State") -> "State":
-        reg = Register(list(zip(self.register.labels, self.register.dims))
-                       + list(zip(other.register.labels, other.register.dims)))
-        return State(reg, np.kron(self.vec, other.vec))
+        reg = Register(self.register._slots + other.register._slots)
+        return State(reg, np.multiply.outer(self.vec, other.vec))
 
 
 def basis_state(register: Register, values: Sequence[int]) -> State:
@@ -110,9 +109,8 @@ def maximally_entangled(d: int, labels: tuple[str, str] = ("a", "b")) -> State:
     """(1/sqrt d) sum_j |jj> on two fresh slots."""
     reg = Register([(labels[0], d), (labels[1], d)])
     vec = np.zeros(d * d, dtype=np.complex128)
-    for j in range(d):
-        vec[j * d + j] = 1.0
-    return State(reg, vec / np.sqrt(d))
+    vec[::d + 1] = 1.0 / np.sqrt(d)
+    return State(reg, vec)
 
 
 # --------------------------------------------------------------------
@@ -134,20 +132,24 @@ def weyl(d: int, a: int, b: int) -> np.ndarray:
     return op
 
 
+def _to_front(n: int, idxs: Sequence[int]) -> list[int]:
+    """The axis permutation that moves axes `idxs`, in that order, in front
+    of the other axes of an n-axis array, which keep their order."""
+    return [*idxs, *(i for i in range(n) if i not in idxs)]
+
+
 def _apply_matrix(vec: np.ndarray, dims: Sequence[int], idxs: Sequence[int],
                   mat: np.ndarray) -> np.ndarray:
     """Apply `mat` to the tensor axes `idxs` of a flat vector."""
-    arr = vec.reshape(dims)
-    arr = np.moveaxis(arr, idxs, range(len(idxs)))
-    head = int(np.prod([dims[i] for i in idxs], dtype=np.int64))
-    rest_shape = arr.shape[len(idxs):]
-    out = mat @ arr.reshape(head, -1)
-    out_head_dims = [dims[i] for i in idxs] if mat.shape[0] == head else None
-    if out_head_dims is None:
+    head = 1
+    for i in idxs:
+        head *= dims[i]
+    if mat.shape != (head, head):
         raise ValueError("matrix must be square over the selected axes")
-    arr = out.reshape(*out_head_dims, *rest_shape)
-    arr = np.moveaxis(arr, range(len(idxs)), idxs)
-    return arr.reshape(-1)
+    perm = _to_front(len(dims), idxs)
+    arr = vec.reshape(dims).transpose(perm)
+    out = (mat @ arr.reshape(head, -1)).reshape(arr.shape)
+    return out.transpose(np.argsort(perm)).reshape(-1)
 
 
 def apply_unitary(state: State, mat: np.ndarray, labels: Sequence[str]) -> State:
@@ -175,13 +177,16 @@ def apply_isometry(state: State, iso: np.ndarray, label: str,
         d_new *= d
     if iso.shape != (d_new, d_old):
         raise ValueError("isometry shape mismatch")
-    arr = state.vec.reshape(reg.dims)
-    arr = np.moveaxis(arr, k, 0)
-    out = iso @ arr.reshape(d_old, -1)
+    n = len(reg)
+    arr = state.vec.reshape(reg.dims).transpose(_to_front(n, [k]))
     new_dims = [d for _, d in new_slots]
-    out = out.reshape(*new_dims, *arr.shape[1:])
-    out = np.moveaxis(out, range(len(new_dims)), range(k, k + len(new_dims)))
-    slots = list(zip(reg.labels, reg.dims))
+    m = len(new_dims)
+    out = (iso @ arr.reshape(d_old, -1)).reshape(*new_dims, *arr.shape[1:])
+    # the m new axes lead; put them back between the k axes before the old
+    # slot and the ones after it
+    out = out.transpose([*range(m, m + k), *range(m),
+                         *range(m + k, m + n - 1)])
+    slots = list(reg._slots)
     slots[k:k + 1] = list(new_slots)
     return State(Register(slots), out.reshape(-1))
 
@@ -202,11 +207,16 @@ def bell_project(state: State, label_a: str, label_b: str,
     if reg.dim(label_b) != d:
         raise ValueError("Bell projection needs equal slot dimensions")
     ia, ib = reg.index(label_a), reg.index(label_b)
-    arr = state.vec.reshape(reg.dims)
-    arr = np.moveaxis(arr, (ia, ib), (0, 1))
-    w = weyl(d, a, b)
-    # <Phi_ab|psi> over the two leading axes: (1/sqrt d) sum_{j,k} W*[j,k] psi[j,k,...]
-    amp = np.tensordot(w.conj(), arr, axes=([0, 1], [0, 1])) / np.sqrt(d)
+    arr = state.vec.reshape(reg.dims).transpose(
+        _to_front(len(reg), [ia, ib]))
+    # |Phi_ab> = (X^a Z^b (x) I)|Phi> has amplitude omega^(bm) / sqrt d at
+    # |m+a, m>, so <Phi_ab|psi> = (1/sqrt d) sum_m omega^(-bm) psi[m+a, m]:
+    # roll the first axis by a, weight row m by omega^(-bm), and take the
+    # trace over the two leading axes
+    m = np.arange(d)
+    phase = np.exp(-2j * np.pi * b * m / d).reshape(
+        (d,) + (1,) * (len(reg) - 1))
+    amp = np.trace(arr[(m + a) % d] * phase, axis1=0, axis2=1) / np.sqrt(d)
     prob = float(np.vdot(amp, amp).real)
     new_reg = reg.drop([label_a, label_b])
     if prob <= 0.0:
@@ -223,12 +233,12 @@ def partial_trace(state: State, keep: Sequence[str]) -> np.ndarray:
     """Density matrix of the listed slots, in the listed order."""
     reg = state.register
     idxs = [reg.index(l) for l in keep]
-    arr = state.vec.reshape(reg.dims)
-    arr = np.moveaxis(arr, idxs, range(len(idxs)))
+    dims = reg.dims
     head = 1
-    for l in keep:
-        head *= reg.dim(l)
-    m = arr.reshape(head, -1)
+    for i in idxs:
+        head *= dims[i]
+    m = state.vec.reshape(dims).transpose(_to_front(len(dims), idxs))
+    m = m.reshape(head, -1)
     return m @ m.conj().T
 
 
@@ -238,12 +248,13 @@ def depolarize_slot(dm: np.ndarray, dims: Sequence[int], idx: int) -> np.ndarray
     dims = tuple(dims)
     n = len(dims)
     traced = np.trace(dm.reshape(dims + dims), axis1=idx, axis2=n + idx)
-    # axes (slot row, slot col, rest rows..., rest cols...), then the slot's
-    # two axes back to their places
+    # axes (slot row, slot col, rest rows..., rest cols...); the slot's two
+    # axes go back to places idx and n + idx
     out = np.multiply.outer(np.eye(dims[idx]) / dims[idx], traced)
-    out = np.moveaxis(out, (0, 1), (idx, n + idx))
-    total = int(np.prod(dims, dtype=np.int64))
-    return out.reshape(total, total)
+    rest = iter(range(2, 2 * n))
+    out = out.transpose([0 if k == idx else 1 if k == n + idx else next(rest)
+                         for k in range(2 * n)])
+    return out.reshape(dm.shape)
 
 
 def _as_dm(obj: Union[State, np.ndarray]) -> np.ndarray:

@@ -3,10 +3,17 @@ from __future__ import annotations
 import functools
 
 import pytest
+from hypothesis import settings
 
 from stq.engine import simulate
 from stq.model import fixture
 from stq.planner import plan_task
+
+# Property tests draw the same examples on every run: derandomized, and no
+# example database to replay earlier failures from.  Each test's own
+# `max_examples` still applies.
+settings.register_profile("seeded", derandomize=True, database=None)
+settings.load_profile("seeded")
 
 # Plans and reports are deterministic, so fixtures computed once serve
 # every test file.  Treat the cached objects as read-only.

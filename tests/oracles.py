@@ -263,6 +263,57 @@ def reduced(vec, dims, keep):
     return mat @ mat.conj().T
 
 
+def _basis(dims):
+    return itertools.product(*(range(n) for n in dims))
+
+
+def oracle_apply(vec, dims, idxs, mat):
+    """`mat` acting on the slots `idxs`, in that order, of a state vector:
+    every amplitude sent to every row of its column, one index at a time."""
+    psi = np.asarray(vec, dtype=complex).reshape(dims)
+    sub = [dims[i] for i in idxs]
+    out = np.zeros_like(psi)
+    for idx in _basis(dims):
+        col = np.ravel_multi_index([idx[i] for i in idxs], sub)
+        for row_idx in _basis(sub):
+            tgt = list(idx)
+            for i, v in zip(idxs, row_idx):
+                tgt[i] = v
+            out[tuple(tgt)] += (mat[np.ravel_multi_index(row_idx, sub), col]
+                                * psi[idx])
+    return out.reshape(-1)
+
+
+def oracle_isometry(vec, dims, k, iso, new_dims):
+    """Slot k of a state vector replaced by the slots `new_dims`, which
+    `iso` maps it into, one index at a time."""
+    psi = np.asarray(vec, dtype=complex).reshape(dims)
+    out = np.zeros(tuple(dims[:k]) + tuple(new_dims) + tuple(dims[k + 1:]),
+                   dtype=complex)
+    for idx in _basis(dims):
+        for new in _basis(new_dims):
+            row = np.ravel_multi_index(new, new_dims)
+            out[idx[:k] + new + idx[k + 1:]] += iso[row, idx[k]] * psi[idx]
+    return out.reshape(-1)
+
+
+def oracle_bell_projection(vec, dims, ia, ib, a, b):
+    """Slots (ia, ib) of a state vector projected onto |Phi_ab> =
+    (X^a Z^b (x) I) sum_m |m, m> / sqrt d, whose amplitude at |j, k> is
+    W[j, k] / sqrt d.  Returns the probability and the renormalized
+    vector of the other slots, in register order."""
+    d = dims[ia]
+    bra = oracle_weyl(d, a, b).conj() / np.sqrt(d)
+    psi = np.asarray(vec, dtype=complex).reshape(dims)
+    rest = [i for i in range(len(dims)) if i not in (ia, ib)]
+    amp = np.zeros([dims[i] for i in rest], dtype=complex)
+    for idx in _basis(dims):
+        amp[tuple(idx[i] for i in rest)] += bra[idx[ia], idx[ib]] * psi[idx]
+    amp = amp.reshape(-1)
+    prob = float(np.vdot(amp, amp).real)
+    return prob, amp / np.sqrt(prob)
+
+
 # --------------------------------------------------------------------
 # the three-qutrit two-out-of-three code
 # --------------------------------------------------------------------

@@ -6,9 +6,10 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
-from oracles import enumerated_scenarios
+from oracles import enumerated_scenarios, haar_state, reduced
 from stq import engine, qsim, schemes
 from stq.engine import (CollectorResult, EngineError, ScenarioResult,
                         SimulationReport, pit_cheat_chi_probability, simulate,
@@ -59,6 +60,18 @@ def test_two_codeword_cheat_is_caught():
     assert abs(pit_cheat_chi_probability() - 1.0 / 9.0) <= 1e-9
 
 
+def test_leak_is_the_distance_to_a_mixed_reference():
+    # a view of two slots plus the reference, purified by one more slot
+    dims = (2, 3, 3, 2)
+    psi = haar_state(qsim.Register(list(zip("vwre", dims))),
+                     np.random.default_rng(21))
+    dm = reduced(psi.vec, dims, (0, 1, 2))
+    mixed = np.kron(reduced(psi.vec, dims, (0, 1)), np.eye(3) / 3)
+    want = 0.5 * np.abs(np.linalg.eigvalsh(dm - mixed)).sum()
+    assert abs(engine._leak_of(dm, 3) - want) < 1e-12
+    assert want > 0.1
+
+
 # --------------------------------------------------------- scenario shape
 
 
@@ -66,14 +79,56 @@ def _event_point(ev):
     return ev["at"] if "at" in ev else ev["path"][0]
 
 
-def test_assembly_battery_covers_every_call_pattern(report_of):
-    report = report_of("fig13")
-    patterns = {sc.calls for sc in report.scenarios}
-    names = ("Da1", "Da2", "Db1", "Db2")
-    assert len(patterns) == 16
-    for r in range(5):
+def test_assembly_battery_is_the_scored_member_sets(task_of, report_of):
+    # every collection is scored where exactly its diamonds call, so the
+    # battery is the distinct member sets of the authorized and
+    # unauthorized lines, by size and then by names: 7 of the 16 patterns
+    task, report = task_of("fig13"), report_of("fig13")
+    members = {tuple(sorted(s)) for s in task.authorized + task.unauthorized}
+    assert ([sc.calls for sc in report.scenarios]
+            == sorted(members, key=lambda s: (len(s), s)))
+    assert len(report.scenarios) == 7
+    assert all(sc.collectors for sc in report.scenarios)
+    assert report.lines()[0].startswith(
+        "simulated state_assembly plan: 7 scenario(s)")
+
+
+def _pattern_mismatches(plan):
+    """Where a call pattern run alone disagrees with the pruned battery:
+    every one of the 2^n patterns either scores nothing and is refused, or
+    gives exactly the scenario the full report holds for it."""
+    report = simulate(plan)
+    pruned = {sc.calls: sc for sc in report.scenarios}
+    names = sorted(plan.task.diamonds)
+    out = []
+    for r in range(len(names) + 1):
         for combo in itertools.combinations(names, r):
-            assert tuple(sorted(combo)) in patterns
+            try:
+                alone = simulate(plan, calls=combo).scenarios
+            except ValueError as exc:
+                if "scores no collection" not in str(exc):
+                    raise
+                if combo in pruned:
+                    out.append(f"{combo}: refused but in the battery")
+                continue
+            if alone != [pruned.get(combo)]:
+                out.append(f"{combo}: {alone} vs {pruned.get(combo)}")
+    return out
+
+
+def test_pruned_battery_keeps_every_scored_pattern(plan_of):
+    assert _pattern_mismatches(plan_of("fig13")) == []
+    rng = random.Random(11)
+    compared = 0
+    for i in range(60):
+        text = _random_task(rng, 1 + i % 2, summoning=False)
+        try:
+            plan = plan_task(parse_task(text))
+        except (TaskError, PlanningError):
+            continue
+        compared += 1
+        assert _pattern_mismatches(plan) == [], text
+    assert compared >= 10
 
 
 def test_calls_outside_the_light_cone_change_nothing(task_of, plan_of):
@@ -374,6 +429,33 @@ def _measure_one_slot_twice(plan):
     return tampered(plan, measure)
 
 
+def _pair_before_source(plan):
+    """fig12's created pair moved in front of its source."""
+    def reorder(events):
+        pair = next(e for e in events if e["op"] == "create_pair")
+        events.remove(pair)
+        events.insert(0, pair)
+
+    return tampered(plan, reorder)
+
+
+def _drop_the_source(plan):
+    """fig1 without its source and the events that act on psi: only key
+    parts are left, and no state to score them against."""
+    def drop(events):
+        events[:] = [e for e in events if e["op"] not in ("source", "pad")
+                     and e.get("token") != "psi"]
+
+    return tampered(plan, drop)
+
+
+def _for_an_access_structure(plan):
+    """fig12's plan handed an abstract access structure as its task."""
+    return dataclasses.replace(plan, task=TaskSpec(
+        kind="access_structure", parties=("A", "B"),
+        authorized=(("A",),)))
+
+
 def _share_named_ref(plan):
     """fig14's third share renamed, in every event, to the reference slot."""
     def rename(events):
@@ -399,14 +481,99 @@ def _share_named_ref(plan):
     ("fig12", _create_pair(["F0", "G"]), "'F0' is already taken"),
     ("fig12", _measure_one_slot_twice, "measures 'F0' against itself"),
     ("fig14", _share_named_ref, "'ref' is reserved"),
+    ("fig12", _pair_before_source, "cannot precede the source"),
+    ("fig1", _drop_the_source, "has no source"),
+    ("fig12", _for_an_access_structure, "plan its embedding"),
 ], ids=["branched-fig12", "branched-fig13", "branched-fig14",
         "orphaned-fig12", "qubit-fig14", "padded-transfer-fig15",
         "live-label-pair-fig12", "ref-pair-fig12", "spent-label-pair-fig12",
-        "self-bell-fig12", "ref-share-fig14"])
+        "self-bell-fig12", "ref-share-fig14", "pair-before-source-fig12",
+        "no-source-fig1", "access-structure-fig12"])
 def test_audit_rejects_what_the_interpreter_cannot_run(plan_of, name,
                                                        tamper, message):
     with pytest.raises(EngineError, match=message):
         validate_plan(tamper(plan_of(name)))
+
+
+def _earlier(p):
+    return point(p.t - 1, *p.x)
+
+
+def _first(events, op):
+    return next(e for e in events if e["op"] == op)
+
+
+def _unknown_guard(events):
+    next(e for e in events if e.get("guard"))["guard"] = {"called": ["Dz9"]}
+
+
+def _encode_elsewhere(events):
+    enc = _first(events, "encode")
+    enc["at"] = _earlier(enc["at"])
+
+
+def _split_unknown_key(events):
+    _first(events, "split")["source"] = "nokey"
+
+
+def _split_before_key(events):
+    split = _first(events, "split")
+    split["at"] = _earlier(split["at"])
+
+
+def _repeat_a_part(events):
+    first, second = [e for e in events if e["op"] == "split"]
+    second["parts"][0] = first["parts"][0]
+
+
+def _pad_elsewhere(events):
+    pad = _first(events, "pad")
+    pad["at"] = _earlier(pad["at"])
+
+
+def _bell_elsewhere(events):
+    bell = _first(events, "bell")
+    bell["at"] = _earlier(bell["at"])
+
+
+def _bell_pair_swapped(events):
+    bell = _first(events, "bell")
+    bell["pair"] = bell["pair"][::-1]
+
+
+def _broadcast_early(events):
+    cast = _first(events, "broadcast")
+    cast["at"] = _earlier(cast["at"])
+
+
+def _part_moved_from_elsewhere(events):
+    part = _first(events, "split")["parts"][0]
+    mv = next(e for e in events if e["op"] == "move" and e["token"] == part)
+    mv["path"] = [_earlier(mv["path"][0]), *mv["path"][1:]]
+
+
+@pytest.mark.parametrize("name, mutate, message", [
+    ("fig12", _unknown_guard, "guard names unknown diamond 'Dz9'"),
+    ("fig14", _encode_elsewhere, "input does not rest at the encode point"),
+    ("fig13", _split_unknown_key, "split of an unknown key"),
+    ("fig13", _split_before_key, "split precedes its key"),
+    ("fig13", _repeat_a_part, "part 'k0.Da1\\+Db1.0' already exists"),
+    ("fig13", _pad_elsewhere, "token does not rest at the pad point"),
+    ("fig12", _bell_elsewhere, "'psi' does not rest at the measurement"),
+    ("fig12", _bell_pair_swapped, "second slot must be half of a created"),
+    ("fig12", _broadcast_early, "broadcast precedes its outcome"),
+    ("fig13", _part_moved_from_elsewhere,
+     "move does not start at the part's resting position"),
+], ids=["unknown-guard", "encode-elsewhere", "split-unknown-key",
+        "split-before-key", "repeated-part", "pad-elsewhere",
+        "bell-elsewhere", "bell-pair-swapped", "broadcast-early",
+        "part-moved-from-elsewhere"])
+def test_audit_names_each_broken_rule(plan_of, name, mutate, message):
+    # one tampering per audit rule that no other test reaches
+    plan = plan_of(name)
+    validate_plan(plan)
+    with pytest.raises(EngineError, match=message):
+        validate_plan(tampered(plan, mutate))
 
 
 # ------------------------------------- key scoring against enumeration
@@ -674,13 +841,18 @@ def test_transfer_scenarios_are_fixed(plan_of):
         simulate(plan_of("fig15"), calls=("a1",))
 
 
-def test_battery_is_capped():
-    spot = Diamond(point(0, 0), point(1, 0))
-    wide = TaskSpec(kind="state_assembly", start=point(-1, 0),
-                    diamonds={f"D{i:02d}": spot for i in range(13)},
-                    authorized=(("D00",),))
-    with pytest.raises(ValueError, match="battery cap"):
-        engine._battery(wide)
+def test_thirteen_diamond_assembly_simulates():
+    # 2^13 call patterns, of which the three member sets score
+    task = TaskSpec(
+        kind="state_assembly", start=point(-1, 0),
+        diamonds={f"D{i:02d}": Diamond(point(0, 2 * i - 12),
+                                       point(30, 2 * i - 12))
+                  for i in range(13)},
+        authorized=(("D00",), ("D12",)), unauthorized=(("D03", "D07"),))
+    report = simulate(plan_task(task))
+    assert [sc.calls for sc in report.scenarios] == [
+        ("D00",), ("D12",), ("D03", "D07")]
+    assert report.passed
 
 
 # ----------------------------------------------------------- formatting

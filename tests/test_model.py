@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stq.feasibility import check_task
 from stq.geometry import Diamond, Region, point
 from stq.model import (TaskError, TaskFormatError, TaskSpec,
                        embed_access_structure, fixture, fixture_names,
@@ -244,6 +247,30 @@ def test_tasks_are_frozen():
         task.secret_dim = 5
     with pytest.raises(TaskError, match="variant"):
         dataclasses.replace(task, variant="sometimes")
+
+
+def test_a_checked_task_cannot_change_under_its_verdict():
+    task = fixture("fig1")
+    verdict = check_task(task)
+    with pytest.raises(AttributeError):
+        task.regions.clear()
+    with pytest.raises(TypeError):
+        task.diamonds["D"] = Diamond(point(0, 0), point(1, 0))
+    assert sorted(task.regions) == ["A1", "A2", "U1"]
+    assert check_task(task) is verdict and verdict.feasible
+
+    # the task keeps its own copy of the mappings it was built from
+    given = dict(task.regions)
+    built = dataclasses.replace(task, regions=given)
+    given.clear()
+    assert built.regions == task.regions
+
+    # every copy path rebuilds the task, so the copy is checked afresh
+    for twin in (copy.copy(task), copy.deepcopy(task),
+                 pickle.loads(pickle.dumps(task)), dataclasses.replace(task)):
+        assert twin == task and twin is not task
+        assert twin._verdict is None
+        assert check_task(twin) == verdict
 
 
 def test_pit_pairs_are_sorted():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import haar_state, oracle_weyl, qotp_twirl, reduced
+from oracles import (haar_state, oracle_apply, oracle_bell_projection,
+                     oracle_code23_isometry, oracle_isometry, oracle_weyl,
+                     qotp_twirl, reduced)
 from stq.qsim import (Register, apply_isometry, apply_unitary, apply_weyl,
                      basis_state, bell_project, depolarize_slot, fidelity,
                      maximally_entangled, partial_trace, trace_distance,
@@ -14,6 +18,13 @@ from stq.qsim import (Register, apply_isometry, apply_unitary, apply_weyl,
 
 def haar(labels_dims, seed=0):
     return haar_state(Register(labels_dims), np.random.default_rng(seed))
+
+
+def random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------- register
@@ -117,6 +128,17 @@ def test_apply_unitary_targets_only_named_slots():
     assert out.vec[3] == 1.0  # |10>
 
 
+def test_apply_unitary_on_distant_slots_in_reversed_order():
+    # slots c and a, in that order, with the b slot between them
+    dims = (3, 2, 2)
+    psi = haar(list(zip("abc", dims)), seed=4)
+    mat = random_unitary(6, seed=5)
+    got = apply_unitary(psi, mat, ["c", "a"])
+    assert got.register.labels == ("a", "b", "c")
+    assert np.allclose(got.vec, oracle_apply(psi.vec, dims, (2, 0), mat),
+                       atol=1e-12)
+
+
 # ---------------------------------------------------------------- teleport
 
 
@@ -135,6 +157,22 @@ def test_teleportation_recovers_input_for_every_outcome():
             assert fidelity(fixed, psi.vec) > 1 - 1e-12
 
 
+@pytest.mark.parametrize("order", [(0, 2), (2, 0)])
+def test_bell_project_matches_oracle_on_distant_slots(order):
+    dims = (3, 2, 3)
+    labels = "abc"
+    psi = haar(list(zip(labels, dims)), seed=9)
+    la, lb = (labels[i] for i in order)
+    for a in range(3):
+        for b in range(3):
+            prob, post = bell_project(psi, la, lb, a, b)
+            want_prob, want = oracle_bell_projection(psi.vec, dims, *order,
+                                                     a, b)
+            assert abs(prob - want_prob) < 1e-12
+            assert post.register.labels == ("b",)
+            assert np.allclose(post.vec, want, atol=1e-12)
+
+
 def test_bell_projection_probabilities_sum_to_one():
     joint = haar([("a", 3), ("b", 3), ("c", 3)], seed=5)
     total = sum(bell_project(joint, "a", "b", a, b)[0]
@@ -146,10 +184,13 @@ def test_bell_projection_probabilities_sum_to_one():
 
 
 def test_partial_trace_keep_order():
-    psi = haar([("a", 2), ("b", 3), ("c", 2)], seed=2)
-    got = partial_trace(psi, ["c", "b"])
-    want = reduced(psi.vec, (2, 3, 2), (2, 1))
-    assert np.allclose(got, want, atol=1e-12)
+    dims = (2, 3, 4)
+    psi = haar(list(zip("abc", dims)), seed=2)
+    for r in (1, 2, 3):
+        for keep in itertools.permutations(range(3), r):
+            got = partial_trace(psi, ["abc"[i] for i in keep])
+            assert np.allclose(got, reduced(psi.vec, dims, keep),
+                               atol=1e-12)
 
 
 def test_partial_trace_of_product_state():
@@ -173,10 +214,12 @@ def test_depolarize_slot_matches_weyl_twirl(idx):
     else:
         assert np.allclose(got, np.kron(marg, np.eye(3) / 3), atol=1e-11)
 
-    # a register of mixed dimensions, twirled at every slot
-    dims = (2, 3, 2)
-    psi = haar(list(zip("abc", dims)), seed=7 + idx)
-    rho = np.outer(psi.vec, psi.vec.conj())
+    # a mixed state on slots of three different dimensions, twirled at
+    # every slot
+    dims = (2, 3, 4)
+    rng = np.random.default_rng(7 + idx)
+    g = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T)
     for k in range(len(dims)):
         assert np.allclose(depolarize_slot(rho, dims, k),
                            qotp_twirl(rho, dims, k), atol=1e-11)
@@ -193,6 +236,17 @@ def test_apply_isometry_expands_one_slot():
     out = apply_isometry(psi, iso, "s", [("x", 3), ("y", 3)])
     assert out.register.labels == ("x", "y")
     assert out.vec[8] == 1.0
+
+
+def test_apply_isometry_on_a_middle_slot_matches_oracle():
+    dims = (2, 3, 2)
+    psi = haar(list(zip("abc", dims)), seed=14)
+    iso = oracle_code23_isometry()
+    out = apply_isometry(psi, iso, "b", [("x", 3), ("y", 3), ("z", 3)])
+    assert out.register.labels == ("a", "x", "y", "z", "c")
+    assert np.allclose(out.vec,
+                       oracle_isometry(psi.vec, dims, 1, iso, (3, 3, 3)),
+                       atol=1e-12)
 
 
 # ---------------------------------------------------------------- metrics
