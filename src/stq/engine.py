@@ -45,8 +45,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import qsim, schemes
-from .geometry import (Diamond, Point, Region, causal_leq, path_is_causal,
-                       region_in_future, worldline_intersects_region)
+from .geometry import (Diamond, Point, Region, WorldlineChart, causal_leq,
+                       path_is_causal, region_in_future)
+# Not called here, since contact comes from `_Contacts`.  The name stays
+# because the benchmark tracer wraps it and its test reads it, as with the
+# planner's `escape_exists`.
+from .geometry import worldline_intersects_region
 from .model import TaskSpec
 from .planner import Plan
 
@@ -145,7 +149,7 @@ def _guard_names(guard: dict | None) -> list[str]:
     return [*guard.get("called", ()), *guard.get("not_called", ())]
 
 
-def validate_plan(plan: Plan) -> None:
+def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
     """Audit a plan without running it.
 
     This is the one place that knows the plan rules; `_run` executes an
@@ -172,6 +176,10 @@ def validate_plan(plan: Plan) -> None:
     carry no pad, and — for localize-exclude plans — that the key part
     routed against each excluded region never touches it.  Raises
     EngineError with a specific message on the first violation.
+
+    Both contact rules ask `contacts`, the plan's contact table (see
+    `_Contacts`); `simulate` passes the one its scenarios then read, and
+    by default the audit makes its own.
     """
     task = plan.task
     if task.kind == "access_structure":
@@ -181,7 +189,7 @@ def validate_plan(plan: Plan) -> None:
     qguards: dict[str, list[dict]] = {}
     qbranched: set[str] = set()
     cpos: dict[str, Point] = {}
-    cpaths: dict[str, list[list[Point]]] = {}
+    cpaths: dict[str, list[int]] = {}  # the events that made each worldline
     keys: dict[str, Point] = {}
     splits: list[tuple[str, list[str]]] = []
     outcomes: dict[str, Point] = {}
@@ -277,7 +285,7 @@ def validate_plan(plan: Plan) -> None:
                     raise EngineError(
                         f"{what}: part {part!r} already exists")
                 cpos[part] = ev["at"]
-                cpaths[part] = [[ev["at"]]]
+                cpaths[part] = [i]
             splits.append((ev["source"], list(ev["parts"])))
         elif op == "pad":
             if task.kind == "pit":
@@ -359,12 +367,15 @@ def validate_plan(plan: Plan) -> None:
                         "resting position")
                 if not guard:
                     cpos[lab] = path[-1]
-                    cpaths[lab].append(list(path))
+                    cpaths[lab].append(i)
             else:
                 raise EngineError(
                     f"{what}: move of an unknown token {lab!r}")
     if not sourced:
         raise EngineError("the plan has no source")
+    if contacts is None:
+        contacts = _Contacts(plan.events)
+    touches = contacts.touches
 
     # pad-key availability: the key is born at the pad point, or a complete
     # split copy passes through it along unguarded moves.
@@ -374,10 +385,10 @@ def validate_plan(plan: Plan) -> None:
         key, at = ev["key"], ev["at"]
         if keys[key] == at:
             continue
-        spot = Diamond(at, at)
+        spot = (Diamond(at, at),)
         if not any(
             src == key and all(
-                any(worldline_intersects_region(p, spot) for p in cpaths[part])
+                any(touches(j, at, spot) for j in cpaths[part])
                 for part in parts)
             for src, parts in splits
         ):
@@ -389,16 +400,52 @@ def validate_plan(plan: Plan) -> None:
     # avoid it along its whole worldline.
     if task.kind == "localize_exclude" and task.unauthorized:
         m = len(task.unauthorized)
-        zones = [task.collection(s)[1] for s in task.unauthorized]
+        zones = [task.collection(s) for s in task.unauthorized]
         for src, parts in splits:
             if len(parts) != m:
                 continue
-            for l, part in enumerate(parts):
-                for p in cpaths[part]:
-                    if worldline_intersects_region(p, zones[l]):
-                        raise EngineError(
-                            f"part {part!r} crosses the excluded region "
-                            "it is routed against")
+            for (label, ds), part in zip(zones, parts):
+                if any(touches(j, label, ds) for j in cpaths[part]):
+                    raise EngineError(
+                        f"part {part!r} crosses the excluded region "
+                        "it is routed against")
+
+
+class _Contacts:
+    """Worldline contact for one plan, each answer computed once.
+
+    A worldline piece is named by the index of the event that made it: the
+    birth point of a source, encode, create_pair or split (every label the
+    event makes shares it), or the path of a move.  Each piece is charted
+    once, on its first question.  A collection is named by a key that
+    stands for one union of diamonds within the plan's task: a
+    collection's label, or a pad's point.  Its box list is built once, and
+    each (piece, collection) question is answered once.
+    """
+
+    __slots__ = ("_events", "_charts", "_boxes", "_answers")
+
+    def __init__(self, events: Sequence[dict]):
+        self._events = events
+        self._charts: dict[int, WorldlineChart] = {}
+        self._boxes: dict = {}
+        self._answers: dict = {}
+
+    def touches(self, i: int, name, diamonds: Sequence[Diamond]) -> bool:
+        """Does event i's worldline piece touch the collection `name`, the
+        union of `diamonds`?  One spatial dimension only."""
+        answer = self._answers.get((i, name))
+        if answer is None:
+            chart = self._charts.get(i)
+            if chart is None:
+                ev = self._events[i]
+                chart = self._charts[i] = WorldlineChart(
+                    ev["path"] if ev["op"] == "move" else (ev["at"],))
+            boxes = self._boxes.get(name)
+            if boxes is None:
+                boxes = self._boxes[name] = [d.box() for d in diamonds]
+            answer = self._answers[i, name] = chart.touches(boxes)
+        return answer
 
 
 # --------------------------------------------------------------------
@@ -416,12 +463,13 @@ class _Tok:
     share: int | None = None
     stack: list = field(default_factory=list)
     partner: str | None = None
-    paths: list = field(default_factory=list)       # fired polylines
+    paths: list = field(default_factory=list)       # events of fired pieces
     handovers: list = field(default_factory=list)   # (endpoint, guarded)
 
 
 @dataclass
 class _Trace:
+    events: Sequence[dict]                          # the plan's schedule
     state: qsim.State | None = None
     q: dict = field(default_factory=dict)
     c: dict = field(default_factory=dict)
@@ -468,9 +516,12 @@ def _run(plan: Plan, calls: frozenset[str],
     that raises is not stored.  A shared dict belongs to one plan and one
     key assignment.  A (0, 0) pad is the identity and is not applied; the
     token's stack still records it.
+
+    A token's `paths` are the indices of the events that made its fired
+    worldline pieces, which a `_Contacts` table of the plan charts.
     """
     d = plan.task.secret_dim
-    tr = _Trace()
+    tr = _Trace(plan.events)
     if states is None:
         states = {}
     history: tuple[int, ...] = ()
@@ -488,25 +539,25 @@ def _run(plan: Plan, calls: frozenset[str],
         if op == "source":
             lab = ev["label"]
             advance(i, lambda _: qsim.maximally_entangled(d, ("ref", lab)))
-            tr.q[lab] = _Tok(lab, plain=True, paths=[[ev["at"]]])
+            tr.q[lab] = _Tok(lab, plain=True, paths=[i])
         elif op == "encode":
             advance(i, lambda s: schemes.code23_encode(s, ev["input"],
                                                        ev["outputs"]))
             tr.q[ev["input"]].alive = False
             for idx, out in enumerate(ev["outputs"]):
-                tr.q[out] = _Tok(out, share=idx, paths=[[ev["at"]]])
+                tr.q[out] = _Tok(out, share=idx, paths=[i])
         elif op == "create_pair":
             la, lb = ev["labels"]
             advance(i, lambda s: s.tensor(
                 qsim.maximally_entangled(d, (la, lb))))
-            tr.q[la] = _Tok(la, partner=lb, paths=[[ev["at"]]])
-            tr.q[lb] = _Tok(lb, partner=la, paths=[[ev["at"]]])
+            tr.q[la] = _Tok(la, partner=lb, paths=[i])
+            tr.q[lb] = _Tok(lb, partner=la, paths=[i])
         elif op == "key":
             pass
         elif op == "split":
             tr.splits.append((ev["source"], list(ev["parts"])))
             for part in ev["parts"]:
-                tr.c[part] = _Tok(part, paths=[[ev["at"]]])
+                tr.c[part] = _Tok(part, paths=[i])
         elif op == "pad":
             a, b = key_values[ev["key"]]
             if (a, b) != (0, 0):
@@ -535,10 +586,10 @@ def _run(plan: Plan, calls: frozenset[str],
             if not _guard_ok(guard, calls):
                 continue
             tr.fired.append(i)
-            lab, path = ev["token"], ev["path"]
+            lab = ev["token"]
             tok = tr.q[lab] if lab in tr.q else tr.c[lab]
-            tok.paths.append(list(path))
-            tok.handovers.append((path[-1], bool(guard)))
+            tok.paths.append(i)
+            tok.handovers.append((ev["path"][-1], bool(guard)))
     return tr
 
 
@@ -566,14 +617,26 @@ def _handed_over(handovers: Sequence[tuple[Point, bool]],
     return False
 
 
-def _collect(trace: _Trace, region: Region, geometric: bool) -> _View:
+def _collect(trace: _Trace, region: Region, geometric: bool,
+             contacts: _Contacts | None = None) -> _View:
     """What `region` collects: slots and parts whose worldline touches it
-    when `geometric` (localize-exclude), else those handed over to it."""
-    def hit(tok: _Tok) -> bool:
-        if geometric:
-            return any(worldline_intersects_region(p, region)
-                       for p in tok.paths)
-        return _handed_over(tok.handovers, region)
+    when `geometric` (localize-exclude), else those handed over to it.
+
+    Contact comes from `contacts`, the plan's contact table, which the
+    runs of one `simulate` share, or by default from a fresh one.  There
+    the region goes by its name: within one plan, a name labels one union
+    of diamonds.
+    """
+    if geometric:
+        if contacts is None:
+            contacts = _Contacts(trace.events)
+        touches, name, ds = contacts.touches, region.name, region.diamonds
+
+        def hit(tok: _Tok) -> bool:
+            return any(touches(i, name, ds) for i in tok.paths)
+    else:
+        def hit(tok: _Tok) -> bool:
+            return _handed_over(tok.handovers, region)
 
     slots = [lab for lab, tok in trace.q.items() if tok.alive and hit(tok)]
     parts = {lab for lab, tok in trace.c.items() if hit(tok)}
@@ -612,11 +675,9 @@ def _undo(state: qsim.State, tok: _Tok,
     return state
 
 
-def _reconstruct(trace: _Trace, view: _View,
-                 key_values: dict[str, tuple[int, int]],
-                 d: int) -> tuple[float, bool]:
-    """Best decode from a view: (fidelity, whether a decode path existed)."""
-    state = trace.state
+def _usable(trace: _Trace, view: _View) -> list[_Tok]:
+    """The view's slots it can read: those whose every pad key and every
+    teleport outcome is in view."""
     usable: list[_Tok] = []
     for lab in view.slots:
         tok = trace.q[lab]
@@ -624,6 +685,24 @@ def _reconstruct(trace: _Trace, view: _View,
                else (name in view.outcomes)
                for kind, name in tok.stack):
             usable.append(tok)
+    return usable
+
+
+def _decodable(usable: Sequence[_Tok]) -> bool:
+    """Whether `_reconstruct` finds a decode path among usable slots: a
+    plain slot, or two code shares of distinct index.  Classical, so an
+    exclusion, which needs only this flag, pays for no dense decode."""
+    return (any(tok.plain for tok in usable)
+            or len({tok.share for tok in usable
+                    if tok.share is not None}) > 1)
+
+
+def _reconstruct(trace: _Trace, view: _View,
+                 key_values: dict[str, tuple[int, int]],
+                 d: int) -> tuple[float, bool]:
+    """Best decode from a view: (fidelity, whether a decode path existed)."""
+    state = trace.state
+    usable = _usable(trace, view)
     for tok in usable:
         state = _undo(state, tok, key_values)
     secret = None
@@ -665,18 +744,17 @@ def _leak_of(dm: np.ndarray, d: int) -> float:
 # --------------------------------------------------------------------
 
 
-def _battery(task: TaskSpec) -> list[frozenset[str]]:
-    """The call patterns that score something, by size and then by sorted
-    names: the one call-free scenario of localize-exclude, each diamond
-    alone for summoning, and the distinct member sets of the authorized
-    and unauthorized lines for assembly.  Any other assembly pattern would
-    score no collection, since each is scored where exactly its diamonds
-    call."""
+def _battery(task: TaskSpec, collections) -> list[frozenset[str]]:
+    """The call patterns that score one of `collections` (see
+    `_collections_for`), by size and then by sorted names: the one
+    call-free scenario of localize-exclude, and otherwise the distinct
+    member sets of the collections — each diamond alone for summoning, the
+    sets of the authorized and unauthorized lines for assembly.  Any other
+    pattern would score no collection, since each is scored where exactly
+    its diamonds call."""
     if task.kind == "localize_exclude":
         return [frozenset()]
-    if task.kind == "summoning":
-        return [frozenset({nm}) for nm in sorted(task.diamonds)]
-    sets = {frozenset(s) for s in task.authorized + task.unauthorized}
+    sets = {frozenset(members) for *_, members in collections}
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -710,14 +788,19 @@ def simulate(plan: Plan, tol: float = 1e-9,
     which is what makes over-calling patterns the interesting ones.  So
     the battery holds just those patterns (see `_battery`): an assembly
     task runs the distinct member sets of its authorized and unauthorized
-    lines, not all 2^n call patterns.  Each scenario runs once, with
+    lines, not all 2^n call patterns; with `access`, just the chosen
+    collection's members.  Each scenario runs once, with
     every pad key at (0, 0), and the scores are exact over all key values:
     a delivery undoes every pad on the slots it can use and traces the
     rest out, and an exclusion is scored through the exact Weyl twirl over
     the keys its view lacks (a collected slot padded with such a key
     averages to the maximally mixed state).  The scenarios share one table
     of dense states, so each distinct quantum history (see `_run`) is
-    evolved once per call.
+    evolved once per call.  They and the audit also share one contact
+    table (see `_Contacts`): each fired worldline piece is charted once,
+    and its contact with each collection is decided once, exactly.  An
+    exclusion needs the reconstruction flag alone, which is decided
+    classically (see `_decodable`).
 
     `max_key_enumeration` and `key_samples` no longer change the result;
     they are kept because the benchmark tracer
@@ -729,7 +812,8 @@ def simulate(plan: Plan, tol: float = 1e-9,
     their own scenarios and accept neither.  EngineError means the plan
     failed its audit.
     """
-    validate_plan(plan)
+    contacts = _Contacts(plan.events)
+    validate_plan(plan, contacts)
     task = plan.task
     d = task.secret_dim
     if task.kind == "pit":
@@ -752,16 +836,15 @@ def simulate(plan: Plan, tol: float = 1e-9,
             raise ValueError(
                 f"no authorized or excluded collection labeled {access!r}")
     geometric = task.kind == "localize_exclude"
-    if calls is None:
-        battery = _battery(task)
-    else:
-        battery = [frozenset(calls)]
-        if battery[0] not in {frozenset(members)
-                              for *_, members in deliveries + exclusions}:
+    battery = _battery(task, deliveries + exclusions)
+    if calls is not None:
+        pattern = frozenset(calls)
+        if pattern not in battery:
             scope = "" if access is None else f" with access {access!r}"
             raise ValueError(
-                f"call pattern {_fmt_calls(sorted(battery[0]))} scores no "
+                f"call pattern {_fmt_calls(sorted(pattern))} scores no "
                 f"collection{scope}")
+        battery = [pattern]
     scenarios: list[ScenarioResult] = []
     fids: list[float] = []
     leaks: list[float] = []
@@ -776,14 +859,15 @@ def simulate(plan: Plan, tol: float = 1e-9,
             for label, region, members in group:
                 if not geometric and frozenset(members) != pattern:
                     continue
-                view = _collect(trace, region, geometric)
-                fid, found = _reconstruct(trace, view, zero, d)
+                view = _collect(trace, region, geometric, contacts)
                 if role == "deliver":
+                    fid, found = _reconstruct(trace, view, zero, d)
                     fids.append(fid)
                     res.collectors.append(CollectorResult(
                         label, role, fidelity=fid, reconstructed=found,
                         ok=fid >= 1.0 - tol))
                 else:
+                    found = _decodable(_usable(trace, view))
                     leak = _twirl_leak(trace, view, d)
                     leaks.append(leak)
                     res.collectors.append(CollectorResult(

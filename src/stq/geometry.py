@@ -40,11 +40,13 @@ same sweep on the reversed grid, from the sink cell above them.  A face lies
 on an escape curve when both sweeps reach it.
 
 Each input is charted once.  A `Diamond` stores its (u, v) box on the
-instance the first time `box()` is asked for it.  The escape search behind
-`escape_exists` and `extract_escape_path` is memoized on the value of its
-input, with a fixed bound of 32 entries: the checker, the planner's re-check
-and the planner's witness extraction ask a task's few escape questions in
-turn, and all three then share one grid per question (see `_search`).
+instance the first time `box()` is asked for it, and a `WorldlineChart`
+holds a polyline's (u, v) vertices for as many contact questions as its
+owner asks.  The escape search behind `escape_exists` and
+`extract_escape_path` is memoized on the value of its input, with a fixed
+bound of 32 entries: the checker, the planner's re-check and the planner's
+witness extraction ask a task's few escape questions in turn, and all
+three then share one grid per question (see `_search`).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "verify_witness_curve",
     "segment_box_intersects",
     "worldline_intersects_region",
+    "WorldlineChart",
     "path_is_causal",
 ]
 
@@ -551,19 +554,24 @@ _ORIENT_TINY = 2.0 ** -960
 def _orientation(a: tuple[float, float], b: tuple[float, float],
                  c: tuple[float, float]) -> int:
     """Exact sign of the cross product (b - a) x (c - a): 1 when c lies
-    left of the line a -> b, -1 when right, 0 on it.  Doubles decide
-    unless the rounding bound says they cannot; then exact rationals do."""
+    left of the line a -> b, -1 when right, 0 on it.
+
+    Doubles decide unless the rounding bound says they cannot.  Then
+    integers do: every double is an integer over a power of two, so the six
+    coordinates scaled by their largest denominator are integers, and the
+    determinant of those, exact in Python ints, has the sign of the true
+    one times that denominator squared.
+    """
     left = (b[0] - a[0]) * (c[1] - a[1])
     right = (b[1] - a[1]) * (c[0] - a[0])
     det = left - right
     if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) > _ORIENT_TINY:
         return 1 if det > 0.0 else -1
-    # imported only here: `fractions` pulls in `decimal`, which would add
-    # to every `import stq` for a branch few calls reach
-    from fractions import Fraction
-    a0, a1 = Fraction(a[0]), Fraction(a[1])
-    det = ((Fraction(b[0]) - a0) * (Fraction(c[1]) - a1)
-           - (Fraction(b[1]) - a1) * (Fraction(c[0]) - a0))
+    ratios = [x.as_integer_ratio()
+              for x in (a[0], a[1], b[0], b[1], c[0], c[1])]
+    den = max(q for _, q in ratios)
+    au, av, bu, bv, cu, cv = [n * (den // q) for n, q in ratios]
+    det = (bu - au) * (cv - av) - (bv - av) * (cu - au)
     return (det > 0) - (det < 0)
 
 
@@ -593,46 +601,64 @@ def segment_box_intersects(
             and _orientation(a, b, rightmost) <= 0)
 
 
-def _lightcone_polyline(
-    curve: Sequence[Point],
-) -> list[tuple[float, float]] | None:
-    """The (u, v) vertices of a 1+1 polyline, or None when u or v falls
-    somewhere along it (the curve is not causal)."""
-    try:
-        uv = [(p.t - x, p.t + x) for p in curve for x, in (p.x,)]
-    except ValueError:  # a point whose x does not unpack to one coordinate
-        raise _not_dim1(next(p.dim for p in curve if p.dim != 1)) from None
-    for (u1, v1), (u2, v2) in zip(uv, uv[1:]):
-        if u2 < u1 or v2 < v1:
-            return None
-    return uv
+class WorldlineChart:
+    """A 1+1 polyline charted once: its (u, v) vertices `uv`, and their u
+    and their v coordinates as the lists `us` and `vs`.
 
-
-def _polyline_touches(uv: Sequence[tuple[float, float]],
-                      boxes: Iterable[Box]) -> bool:
-    """Does the monotone (u, v) polyline `uv` touch any of the boxes?
-
-    Segment k joins uv[k] and uv[k + 1].  Since u never falls along the
-    polyline, the segments whose u-range meets [u_lo, u_hi] are one run of
-    indices, from one before the first vertex with u >= u_lo up to the last
-    vertex with u <= u_hi, and two bisections of the u list find it; the
-    same holds for v.  Only the segments in both runs get the exact
-    `segment_box_intersects`: every other segment lies wholly on one side
-    of the box in u or in v, which that test's range check rejects anyway.
-    A single point is one zero-length segment.
+    `monotone` is False when u or v falls somewhere along the polyline, so
+    the curve is not causal.  A monotone chart's coordinate lists are
+    sorted, and `touches` answers contact with any boxes from them.  A
+    single point is charted as one zero-length segment.  Charting a point
+    not in one spatial dimension raises ValueError.
     """
-    if len(uv) == 1:
-        uv = [uv[0], uv[0]]
-    us = [u for u, _ in uv]
-    vs = [v for _, v in uv]
-    for box in boxes:
-        lo = max(bisect_left(us, box.u_lo), bisect_left(vs, box.v_lo), 1) - 1
-        hi = min(bisect_right(us, box.u_hi), bisect_right(vs, box.v_hi),
-                 len(uv) - 1)
-        for k in range(lo, hi):
-            if segment_box_intersects(uv[k], uv[k + 1], box):
-                return True
-    return False
+
+    __slots__ = ("uv", "us", "vs", "monotone")
+
+    def __init__(self, curve: Sequence[Point]):
+        try:
+            uv = [(p.t - x, p.t + x) for p in curve for x, in (p.x,)]
+        except ValueError:  # a point whose x does not unpack to one value
+            raise _not_dim1(
+                next(p.dim for p in curve if p.dim != 1)) from None
+        if len(uv) == 1:
+            uv.append(uv[0])
+        self.uv = uv
+        self.us = [u for u, _ in uv]
+        self.vs = [v for _, v in uv]
+        self.monotone = not any(
+            u2 < u1 or v2 < v1
+            for (u1, v1), (u2, v2) in zip(uv, uv[1:]))
+
+    def touches(self, boxes: Iterable[Box]) -> bool:
+        """Does the monotone polyline touch any of the boxes?
+
+        Segment k joins uv[k] and uv[k + 1].  Since u never falls along the
+        polyline, the segments whose u-range meets [u_lo, u_hi] are one run
+        of indices, from one before the first vertex with u >= u_lo up to
+        the last vertex with u <= u_hi, and two bisections of `us` find it;
+        the same holds for v.  Only the segments in both runs get the exact
+        `segment_box_intersects`: every other segment lies wholly on one
+        side of the box in u or in v, which that test's range check rejects
+        anyway.  A box wholly beyond the polyline's range on an axis gives
+        two empty runs, and is passed over before any bisection.
+        """
+        uv, us, vs = self.uv, self.us, self.vs
+        if not uv:
+            return False
+        last = len(uv) - 1
+        u_min, u_max, v_min, v_max = us[0], us[-1], vs[0], vs[-1]
+        for box in boxes:
+            if (box.u_lo > u_max or box.v_lo > v_max
+                    or box.u_hi < u_min or box.v_hi < v_min):
+                continue
+            lo = max(bisect_left(us, box.u_lo), bisect_left(vs, box.v_lo),
+                     1) - 1
+            hi = min(bisect_right(us, box.u_hi), bisect_right(vs, box.v_hi),
+                     last)
+            for k in range(lo, hi):
+                if segment_box_intersects(uv[k], uv[k + 1], box):
+                    return True
+        return False
 
 
 def verify_witness_curve(
@@ -644,14 +670,15 @@ def verify_witness_curve(
     touches no obstacle.  Exact inequalities, no tolerance.
 
     A curve that is not monotone is rejected before any box is looked at;
-    a monotone one is tested against each box only along the segments
-    whose u- and v-ranges both reach it (see `_polyline_touches`).
+    a monotone one is charted once and tested against each box only along
+    the segments whose u- and v-ranges both reach it (see
+    `WorldlineChart.touches`).
     """
-    uv = _lightcone_polyline(curve)
-    if uv is None:
+    chart = WorldlineChart(curve)
+    if not chart.monotone:
         return False
-    return (not _polyline_touches(uv, _obstacle_boxes(avoiding))
-            and _polyline_touches(uv, _target_boxes(through)))
+    return (not chart.touches(_obstacle_boxes(avoiding))
+            and chart.touches(_target_boxes(through)))
 
 
 def worldline_intersects_region(
@@ -660,19 +687,17 @@ def worldline_intersects_region(
     """Does a causal polyline worldline touch a region?  One spatial
     dimension only; any other dimension raises ValueError.
 
-    The answer is exact: each diamond's (u, v) box gets the exact
-    `segment_box_intersects`, but only along the segments whose u- and
-    v-ranges both reach the box, which a causal worldline's monotone chart
-    lets two bisections per axis find (see `_polyline_touches`).  A path
-    that is not monotone in (u, v), and so not causal, raises ValueError.
+    The answer is exact: the path is charted once (`WorldlineChart`), and
+    each diamond's (u, v) box gets the exact `segment_box_intersects`, but
+    only along the segments whose u- and v-ranges both reach the box.  A
+    path that is not monotone in (u, v), and so not causal, raises
+    ValueError.  An empty path touches nothing.  A caller that asks about
+    one path more than once keeps its chart instead.
     """
-    pts = list(path)
-    if not pts:
-        return False
-    uv = _lightcone_polyline(pts)
-    if uv is None:
+    chart = WorldlineChart(path)
+    if not chart.monotone:
         raise ValueError("a worldline must be a causal polyline")
-    return _polyline_touches(uv, [d.box() for d in _diamonds_of(region)])
+    return chart.touches([d.box() for d in _diamonds_of(region)])
 
 
 def path_is_causal(path: Sequence[Point]) -> bool:

@@ -209,6 +209,16 @@ def _segment_meets_box(a, b, box):
     return s_lo <= s_hi
 
 
+def orientation(a, b, c):
+    """Sign of the cross product (b - a) x (c - a) of three (u, v) points:
+    1 when c lies left of the line a -> b, -1 right, 0 on it.  Exact
+    rational arithmetic over the given floats."""
+    a0, a1 = Fraction(a[0]), Fraction(a[1])
+    det = ((Fraction(b[0]) - a0) * (Fraction(c[1]) - a1)
+           - (Fraction(b[1]) - a1) * (Fraction(c[0]) - a0))
+    return (det > 0) - (det < 0)
+
+
 # --------------------------------------------------------------------
 # unrestricted summoning: condition B1 by walking every subset
 # --------------------------------------------------------------------
@@ -442,7 +452,7 @@ def enumerated_scenarios(plan, tol=1e-9):
     deliveries, exclusions = engine._collections_for(task)
     geometric = task.kind == "localize_exclude"
     out = []
-    for pattern in engine._battery(task):
+    for pattern in engine._battery(task, deliveries + exclusions):
         res = engine.ScenarioResult(calls=tuple(sorted(pattern)))
         out.append(res)
         picked = [(role, label, region)

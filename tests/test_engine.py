@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import itertools
@@ -9,12 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from oracles import enumerated_scenarios, haar_state, reduced
-from stq import engine, qsim, schemes
+from oracles import (enumerated_scenarios, haar_state, polyline_touches_boxes,
+                     reduced)
+from stq import engine, geometry, qsim, schemes
 from stq.engine import (CollectorResult, EngineError, ScenarioResult,
                         SimulationReport, pit_cheat_chi_probability, simulate,
                         validate_plan)
-from stq.geometry import Diamond, causal_leq, point
+from stq.geometry import Diamond, Region, causal_leq, point
 from stq.model import TaskError, TaskSpec, embed_access_structure, parse_task
 from stq.planner import Plan, PlanningError, plan_task
 
@@ -790,6 +792,127 @@ def test_a_guarded_bell_leaves_its_slot_to_exclusive_branches(bell_first):
         validate_plan(_reorder_relay(bell_first, clash=True))
 
 
+# ------------------------------------------- contacts and exclusion flags
+
+# a task of the benchmark's escape family: the key part must thread a field
+# of ten excluded boxes
+ESCAPE = """
+task localize_exclude
+dim 1
+secret_dim 3
+start (0, 0)
+region A1 {
+    box u=[44, 47] v=[44, 47]
+}
+region A2 {
+    box u=[46, 49] v=[52, 55]
+}
+region U1 {
+    box u=[34, 36] v=[2, 3]
+    box u=[4, 5] v=[11, 13]
+    box u=[31, 33] v=[16, 19]
+    box u=[7, 8] v=[16, 19]
+    box u=[14, 16] v=[27, 28]
+    box u=[25, 26] v=[11, 12]
+    box u=[29, 30] v=[9, 10]
+    box u=[1, 2] v=[14, 15]
+    box u=[11, 13] v=[19, 20]
+    box u=[14, 17] v=[12, 13]
+}
+authorized A1
+authorized A2
+unauthorized U1
+"""
+
+
+def _worldline_curves(plan):
+    """The polyline of every event that makes a worldline piece: a birth
+    point, or a move's path."""
+    return [tuple(ev["path"]) if ev["op"] == "move" else (ev["at"],)
+            for ev in plan.events
+            if ev["op"] in ("source", "encode", "create_pair", "split",
+                            "move")]
+
+
+@pytest.mark.parametrize("name", ["fig10", "escape"])
+def test_simulate_charts_each_worldline_once(monkeypatch, plan_of, name):
+    plan = (plan_task(parse_task(ESCAPE)) if name == "escape"
+            else plan_of(name))
+    chart = geometry.WorldlineChart
+    init, touches = chart.__init__, chart.touches
+    charted, answered = [], []
+
+    def counting_init(self, curve):
+        init(self, curve)
+        charted.append(tuple(curve))
+
+    def counting_touches(self, boxes):
+        hit = touches(self, boxes)
+        bounds = tuple((b.u_lo, b.u_hi, b.v_lo, b.v_hi) for b in boxes)
+        answered.append((id(self), bounds))
+        assert hit == polyline_touches_boxes(self.uv, bounds)
+        return hit
+
+    monkeypatch.setattr(chart, "__init__", counting_init)
+    monkeypatch.setattr(chart, "touches", counting_touches)
+    assert simulate(plan).passed
+    # no curve is charted more often than events make it, and no chart
+    # is asked about one collection twice (charts live as long as the
+    # table, so their ids are distinct)
+    made = collections.Counter(_worldline_curves(plan))
+    assert charted and not collections.Counter(charted) - made
+    assert answered and len(set(answered)) == len(answered)
+
+
+def _views(plan):
+    """(trace, view) for every collection in every scenario of the plan's
+    battery, scored there or not, and for caller groups also for every
+    set of diamonds: views that hold a single code share come up there."""
+    task = plan.task
+    deliveries, exclusions = engine._collections_for(task)
+    regions = [region for _, region, _ in deliveries + exclusions]
+    geometric = task.kind == "localize_exclude"
+    if not geometric:
+        names = sorted(task.diamonds)
+        regions += [Region("+".join(group),
+                           tuple(task.diamonds[nm] for nm in group))
+                    for r in range(1, len(names) + 1)
+                    for group in itertools.combinations(names, r)]
+    zero = {ev["name"]: (0, 0) for ev in plan.events if ev["op"] == "key"}
+    for pattern in engine._battery(task, deliveries + exclusions):
+        trace = engine._run(plan, pattern, zero)
+        for region in regions:
+            yield trace, engine._collect(trace, region, geometric)
+
+
+def test_exclusion_flag_is_the_decoders(plan_of):
+    # an exclusion decides its reconstruction flag classically; it must be
+    # the flag the dense decoder reports, on every view of the fixtures,
+    # an escape task and a seeded sample of assembly and summoning tasks
+    plans = [plan_of(nm) for nm in SIMULATED if nm != "fig15"]
+    plans.append(plan_task(parse_task(ESCAPE)))
+    rng = random.Random(5)
+    for i in range(120):
+        try:
+            plans.append(plan_task(parse_task(
+                _random_task(rng, 1 + i % 2, summoning=i % 3 == 2))))
+        except (TaskError, PlanningError):
+            continue
+    kinds = collections.Counter()
+    for plan in plans:
+        zero = {ev["name"]: (0, 0) for ev in plan.events
+                if ev["op"] == "key"}
+        for trace, view in _views(plan):
+            usable = engine._usable(trace, view)
+            found = engine._reconstruct(trace, view, zero,
+                                        plan.task.secret_dim)[1]
+            assert engine._decodable(usable) == found
+            shares = {tok.share for tok in usable if tok.share is not None}
+            kinds[any(tok.plain for tok in usable), min(len(shares), 2)] += 1
+    # plain slots, and none, one or two distinct shares alone, all occur
+    assert {(True, 0), (False, 0), (False, 1), (False, 2)} <= set(kinds)
+
+
 # ----------------------------------------------------- access and calls
 
 
@@ -804,6 +927,26 @@ def test_access_restricts_scoring(task_of, plan_of):
 
     with pytest.raises(ValueError, match="no authorized or excluded"):
         simulate(plan_of("fig1"), access="nope")
+
+
+def test_access_runs_only_the_chosen_collections_patterns(task_of, plan_of,
+                                                          report_of):
+    # fig14 summons from three diamonds; D0's collection scores only in
+    # the pattern where D0 alone calls
+    report = simulate(plan_of("fig14"), access="D0")
+    assert [sc.calls for sc in report.scenarios] == [("D0",)]
+    assert report.lines()[0].startswith(
+        "simulated summoning plan: 1 scenario(s)")
+    for name in ("fig1", "fig13"):
+        full = report_of(name)
+        deliveries, exclusions = engine._collections_for(task_of(name))
+        for label, *_ in deliveries + exclusions:
+            alone = simulate(plan_of(name), access=label)
+            assert len(alone.scenarios) == 1
+            assert ([c.line() for sc in alone.scenarios
+                     for c in sc.collectors]
+                    == [c.line() for sc in full.scenarios
+                        for c in sc.collectors if c.label == label])
 
 
 def test_calls_restricts_the_battery(plan_of):

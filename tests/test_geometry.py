@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_boxes_linked, brute_causal_leq, face_graph_escape,
-                     polyline_touches_boxes, raster_escape)
+                     orientation, polyline_touches_boxes, raster_escape)
 from stq import geometry
 from stq.geometry import (Box, Diamond, Point, Region, causal_leq, connected,
                           earliest_point_after, escape_exists,
@@ -562,6 +562,44 @@ def test_segment_box_is_exact_where_doubles_round():
     box = (3.27, 4.27, 1.71, 2.71)
     assert not polyline_touches_boxes([a, b], [box])
     assert not segment_box_intersects(a, b, Box(*box))
+
+
+# Doubles where the orientation filter fails or nearly fails: points on
+# integer and half-integer grids, which lines through two of them hit
+# exactly; decimals, which binary doubles round; multiples of the least
+# subnormal; and magnitudes near 1e-300 and 1e300, where the filter's
+# products underflow or overflow.  A triple may also be three points of
+# one grid line, scaled by a power of two, which keeps them on it.
+half_grid = st.integers(-40, 40).map(lambda n: n / 2)
+coordinates = st.one_of(
+    half_grid,
+    st.integers(-10 ** 4, 10 ** 4).map(lambda n: n / 10),
+    st.integers(-2 ** 40, 2 ** 40).map(lambda n: n * 5e-324),
+    st.floats(1e-305, 1e-295), st.floats(-1e-295, -1e-305),
+    st.floats(1e295, 1e305), st.floats(-1e305, -1e295),
+    st.floats(allow_nan=False, allow_infinity=False))
+uv_points = st.tuples(coordinates, coordinates)
+
+
+@st.composite
+def collinear_triples(draw):
+    a = draw(st.tuples(half_grid, half_grid))
+    d = draw(st.tuples(half_grid, half_grid))
+    k, m = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    scale = 2.0 ** draw(st.integers(-1070, 1000))
+    return tuple((p * scale, q * scale)
+                 for p, q in (a, (a[0] + k * d[0], a[1] + k * d[1]),
+                              (a[0] + m * d[0], a[1] + m * d[1])))
+
+
+@given(st.one_of(st.tuples(uv_points, uv_points, uv_points),
+                 collinear_triples()))
+@settings(max_examples=600, deadline=None)
+@example(((2.5, 0.4), (3.6, 3.7), (3.27, 2.71)))
+@example(((0.0, 0.0), (1e308, 1e308), (-1e308, -1e308)))
+@example(((5e-324, 0.0), (0.0, 5e-324), (1e-323, -5e-324)))
+def test_orientation_agrees_with_exact_rationals(triple):
+    assert geometry._orientation(*triple) == orientation(*triple)
 
 
 def test_non_causal_worldline_is_rejected():
