@@ -52,6 +52,10 @@ def _load(task_file: str, variant: str | None) -> TaskSpec:
         return task
     except (TaskError, OSError) as exc:
         raise click.UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise click.UsageError(f"{task_file} is not UTF-8 text: "
+                               f"byte {byte:#04x} at offset {exc.start}")
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -119,15 +119,23 @@ def causal_leq(p: Point, q: Point) -> bool:
     """Exact causal order: is q in the closed causal future of p?
 
     Evaluated as ``dt >= 0 and dt^2 >= |dx|^2`` so lightlike relations built
-    from exactly-representable coordinates stay exact.
+    from exactly-representable coordinates stay exact.  One spatial
+    dimension skips the sum: it compares ``dt * dt >= d * d`` directly,
+    which is bit-identical to the loop, because the loop's ``0.0 + d * d``
+    adds zero to a square that is never negative (or is NaN or +inf) and
+    so is ``d * d`` exactly.
     """
-    if p.dim != q.dim:
+    px, qx = p.x, q.x
+    if len(px) != len(qx):
         raise ValueError("points of different dimension are not comparable")
     dt = q.t - p.t
     if dt < 0.0:
         return False
+    if len(px) == 1:
+        d = qx[0] - px[0]
+        return dt * dt >= d * d
     dd = 0.0
-    for a, b in zip(p.x, q.x):
+    for a, b in zip(px, qx):
         dd += (b - a) * (b - a)
     return dt * dt >= dd
 
@@ -175,7 +183,7 @@ class Diamond:
     _box = None
 
     def __post_init__(self) -> None:
-        if self.c.dim != self.r.dim:
+        if len(self.c.x) != len(self.r.x):
             raise ValueError("diamond corners must share a dimension")
         if not causal_leq(self.c, self.r):
             raise ValueError(

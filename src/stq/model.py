@@ -17,8 +17,11 @@ A task file is line oriented:
     authorized NAME NAME ...         (one name set per line)
     unauthorized NAME NAME ...
 
-Coordinates and box bounds are finite decimal numbers; `nan`, `inf` and
-values that overflow a float are parse errors.  Access-structure name sets
+Coordinates and box bounds are finite decimal numbers; `nan`, `inf`,
+values that overflow a float and empty coordinates (`(1,,2)`, `(1, 2,)`)
+are parse errors.  The `dim` and `secret_dim` values are ASCII digits
+(`[0-9]+`); `²` or `٣` is a parse error.  `load_task` reads a file as
+UTF-8.  Access-structure name sets
 list parties; in every other task what a name set on an
 authorized/unauthorized line denotes is `TaskSpec.collection`: the union of
 the named regions for localize-exclude tasks, the named diamonds otherwise.
@@ -141,14 +144,14 @@ class TaskSpec:
             return
         if self.start is None:
             raise TaskError("task has no start point")
-        if self.start.dim != self.dim:
+        if len(self.start.x) != self.dim:
             raise TaskError("start point dimension does not match dim")
         for name, d in self.diamonds.items():
-            if d.dim != self.dim:
+            if len(d.c.x) != self.dim:
                 raise TaskError(f"diamond {name!r} has wrong dimension")
         for name, r in self.regions.items():
             for d in r.diamonds:
-                if d.dim != self.dim:
+                if len(d.c.x) != self.dim:
                     raise TaskError(f"region {name!r} has wrong dimension")
         if self.kind in ("localize_exclude", "state_assembly"):
             self._validate_sets()
@@ -242,6 +245,19 @@ class TaskSpec:
 # --------------------------------------------------------------------
 
 
+# A line's first word names its kind; these patterns cut the rest of a
+# line into tokens.  Header values are ASCII digits only: `str.isdigit`
+# also takes `²` and `٣`, and `int` reads `٣` as 3.
+_UINT = re.compile(r"[0-9]+")
+# A `start` point `(t, x...)`; the group is its comma-separated coordinates.
+_POINT = re.compile(r"\((.*)\)", re.S)
+# A diamond body: the two points `c=(..)` and `r=(..)` in either order.
+# Space may stand around each point and before its `=`, not after it.
+_DIAMOND_BODY = re.compile(
+    r"\s*([cr])\s*=\(([^)]*)\)\s*([cr])\s*=\(([^)]*)\)\s*")
+_BOX = re.compile(r"box\s+u=\[([^\]]*)\]\s+v=\[([^\]]*)\]")
+
+
 def _parse_number(tok: str, lineno: int) -> float:
     try:
         x = float(tok)
@@ -252,19 +268,42 @@ def _parse_number(tok: str, lineno: int) -> float:
     return x
 
 
-def _parse_point(text: str, lineno: int, dim: int | None) -> Point:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise TaskFormatError(lineno, f"expected a point, got {text!r}")
-    parts = [p for p in text[1:-1].split(",") if p.strip()]
-    coords = [_parse_number(p.strip(), lineno) for p in parts]
+def _parse_numbers(parts: list[str], lineno: int) -> list[float]:
+    """The numbers of a comma-split list, in order.  `float` skips the
+    space around a part by itself.  Only a part that is empty, malformed
+    or not finite, or that carries space `str.strip` removes and `float`
+    keeps (U+001F), sends the list through the per-part pass, which strips
+    each part and names the first bad one."""
+    try:
+        xs = [float(p) for p in parts]
+    except ValueError:
+        xs = None
+    if xs is None or not all(map(isfinite, xs)):
+        xs = [_parse_number(p.strip(), lineno) for p in parts]
+    return xs
+
+
+def _parse_header_int(rest: str, lineno: int, message: str) -> int:
+    """The value of a `dim` or `secret_dim` line."""
+    if _UINT.fullmatch(rest):
+        try:
+            return int(rest)
+        except ValueError:  # more digits than `int` converts
+            pass
+    raise TaskFormatError(lineno, message)
+
+
+def _parse_point(inner: str, lineno: int, dim: int) -> Point:
+    """The point whose coordinates are `inner`, the text between its
+    parentheses."""
+    coords = _parse_numbers(inner.split(","), lineno) if inner.strip() else []
     if len(coords) < 2:
         raise TaskFormatError(lineno, "a point needs t plus spatial coordinates")
-    if dim is not None and len(coords) != dim + 1:
+    if len(coords) != dim + 1:
         raise TaskFormatError(
             lineno, f"point has {len(coords) - 1} spatial coordinates, "
                     f"expected {dim}")
-    return point(*coords)
+    return Point(coords[0], tuple(coords[1:]))
 
 
 def _parse_interval(key: str, inner: str,
@@ -274,8 +313,7 @@ def _parse_interval(key: str, inner: str,
     if len(parts) != 2:
         raise TaskFormatError(
             lineno, f"expected two bounds in '{key}=[{inner}]'")
-    lo = _parse_number(parts[0].strip(), lineno)
-    hi = _parse_number(parts[1].strip(), lineno)
+    lo, hi = _parse_numbers(parts, lineno)
     if hi < lo:
         raise TaskFormatError(lineno, f"empty interval in '{key}=[{inner}]'")
     return lo, hi
@@ -288,21 +326,15 @@ def _make_diamond(cpt: Point, rpt: Point, lineno: int) -> Diamond:
         raise TaskFormatError(lineno, str(exc)) from None
 
 
-# A diamond body: the two points `c=(..)` and `r=(..)` in either order.
-# Space may stand around each point and before its `=`, not after it.
-_DIAMOND_BODY = re.compile(
-    r"\s*([cr])\s*=(\([^)]*\))\s*([cr])\s*=(\([^)]*\))\s*")
-
-
 def _parse_diamond(body: str, lineno: int, dim: int) -> Diamond:
     """The diamond of a `diamond` line's `c=(..) r=(..)` body, top-level
     or inside a region block."""
     m = _DIAMOND_BODY.fullmatch(body)
     if m is None or m[1] == m[3]:
         raise TaskFormatError(lineno, "diamond needs c=(..) r=(..)")
-    kv = {m[1]: m[2], m[3]: m[4]}
-    return _make_diamond(_parse_point(kv["c"], lineno, dim),
-                         _parse_point(kv["r"], lineno, dim), lineno)
+    c, r = (m[2], m[4]) if m[1] == "c" else (m[4], m[2])
+    return _make_diamond(_parse_point(c, lineno, dim),
+                         _parse_point(r, lineno, dim), lineno)
 
 
 def parse_task(text: str) -> TaskSpec:
@@ -322,8 +354,11 @@ def parse_task(text: str) -> TaskSpec:
     region_name: str | None = None
     region_diamonds: list[Diamond] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
 
@@ -335,81 +370,86 @@ def parse_task(text: str) -> TaskSpec:
                 regions[region_name] = Region(region_name,
                                               tuple(region_diamonds))
                 region_name, region_diamonds = None, []
-                continue
-            if line.startswith("diamond "):
+            elif line.startswith("diamond "):
                 region_diamonds.append(
                     _parse_diamond(line[len("diamond "):], lineno, dim))
-                continue
-            if line.startswith("box "):
+            elif line.startswith("box "):
                 if dim != 1:
                     raise TaskFormatError(
                         lineno, "box sugar needs one spatial dimension")
-                match = re.fullmatch(
-                    r"box\s+u=\[([^\]]*)\]\s+v=\[([^\]]*)\]", line)
-                if match is None:
+                m = _BOX.fullmatch(line)
+                if m is None:
                     raise TaskFormatError(lineno, "box needs u=[..] v=[..]")
-                u_lo, u_hi = _parse_interval("u", match.group(1), lineno)
-                v_lo, v_hi = _parse_interval("v", match.group(2), lineno)
-                cpt = from_lightcone(u_lo, v_lo)
-                rpt = from_lightcone(u_hi, v_hi)
-                region_diamonds.append(_make_diamond(cpt, rpt, lineno))
-                continue
-            raise TaskFormatError(lineno,
-                                  f"unexpected {line!r} inside region block")
+                u_lo, u_hi = _parse_interval("u", m[1], lineno)
+                v_lo, v_hi = _parse_interval("v", m[2], lineno)
+                region_diamonds.append(_make_diamond(
+                    from_lightcone(u_lo, v_lo), from_lightcone(u_hi, v_hi),
+                    lineno))
+            else:
+                raise TaskFormatError(
+                    lineno, f"unexpected {line!r} inside region block")
+            continue
 
-        toks = line.split()
-        head = toks[0]
-        if head == "task":
-            if kind is not None:
-                raise TaskFormatError(lineno, "duplicate task line")
-            if len(toks) != 2:
-                raise TaskFormatError(lineno, "task line needs one kind")
-            kind = toks[1]
-            if kind == "summoning:multiple_call_multiple_return":
-                kind = "state_assembly"
-            elif kind.startswith("summoning:"):
-                kind, variant = "summoning", kind.split(":", 1)[1]
-        elif head == "dim":
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
-                raise TaskFormatError(lineno, "dim needs a positive integer")
-            dim = int(toks[1])
-        elif head == "secret_dim":
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise TaskFormatError(lineno, "secret_dim needs an integer")
-            secret_dim = int(toks[1])
-        elif head == "start":
-            start = _parse_point(line[len("start"):].strip(), lineno, dim)
-        elif head == "party":
-            if len(toks) != 2:
-                raise TaskFormatError(lineno, "party needs one name")
-            parties.append(toks[1])
-        elif head == "diamond":
-            rest = line[len("diamond"):].strip()
+        # the first word, and the rest without the space around it
+        head_rest = line.split(None, 1)
+        head = head_rest[0]
+        rest = head_rest[1] if len(head_rest) == 2 else ""
+        if head == "diamond":
             name, _, body = rest.partition(" ")
             if not name or "=" in name:
                 raise TaskFormatError(lineno, "top-level diamond needs a name")
             if name in diamonds:
                 raise TaskFormatError(lineno, f"duplicate diamond {name!r}")
             diamonds[name] = _parse_diamond(body, lineno, dim)
+        elif head == "authorized" or head == "unauthorized":
+            names = rest.split()
+            if not names:
+                raise TaskFormatError(
+                    lineno, f"{head} needs at least one name")
+            (authorized if head == "authorized" else unauthorized).append(
+                tuple(names))
+        elif head == "start":
+            m = _POINT.fullmatch(rest)
+            if m is None:
+                raise TaskFormatError(lineno,
+                                      f"expected a point, got {rest!r}")
+            start = _parse_point(m[1], lineno, dim)
+        elif head == "dim":
+            dim = _parse_header_int(rest, lineno,
+                                    "dim needs a positive integer")
+            if dim < 1:
+                raise TaskFormatError(lineno, "dim needs a positive integer")
+        elif head == "secret_dim":
+            secret_dim = _parse_header_int(rest, lineno,
+                                           "secret_dim needs an integer")
+        elif head == "task":
+            if kind is not None:
+                raise TaskFormatError(lineno, "duplicate task line")
+            toks = rest.split()
+            if len(toks) != 1:
+                raise TaskFormatError(lineno, "task line needs one kind")
+            kind = toks[0]
+            if kind == "summoning:multiple_call_multiple_return":
+                kind = "state_assembly"
+            elif kind.startswith("summoning:"):
+                kind, variant = "summoning", kind.split(":", 1)[1]
+        elif head == "party":
+            toks = rest.split()
+            if len(toks) != 1:
+                raise TaskFormatError(lineno, "party needs one name")
+            parties.append(toks[0])
         elif head == "region":
-            if len(toks) != 3 or toks[2] != "{":
+            toks = rest.split()
+            if len(toks) != 2 or toks[1] != "{":
                 raise TaskFormatError(lineno, "region line must be: region NAME {")
-            if toks[1] in regions:
-                raise TaskFormatError(lineno, f"duplicate region {toks[1]!r}")
-            region_name = toks[1]
-        elif head == "authorized":
-            if len(toks) < 2:
-                raise TaskFormatError(lineno, "authorized needs at least one name")
-            authorized.append(tuple(toks[1:]))
-        elif head == "unauthorized":
-            if len(toks) < 2:
-                raise TaskFormatError(lineno, "unauthorized needs at least one name")
-            unauthorized.append(tuple(toks[1:]))
+            if toks[0] in regions:
+                raise TaskFormatError(lineno, f"duplicate region {toks[0]!r}")
+            region_name = toks[0]
         else:
             raise TaskFormatError(lineno, f"unknown directive {head!r}")
 
     if region_name is not None:
-        raise TaskFormatError(len(text.splitlines()),
+        raise TaskFormatError(len(lines),
                               f"unterminated region {region_name!r}")
     if kind is None:
         raise TaskFormatError(1, "missing task line")
@@ -464,13 +504,14 @@ def serialize_task(task: TaskSpec) -> str:
 
 
 def load_task(path: str | Path) -> TaskSpec:
-    return parse_task(Path(path).read_text())
+    """Parse a .stq file, read as UTF-8 whatever the locale."""
+    return parse_task(Path(path).read_text(encoding="utf-8"))
 
 
 def fixture(name: str) -> TaskSpec:
     """Load a packaged example task by name (e.g. 'fig1')."""
     res = importlib.resources.files("stq").joinpath("fixtures", f"{name}.stq")
-    return parse_task(res.read_text())
+    return parse_task(res.read_text(encoding="utf-8"))
 
 
 def fixture_names() -> list[str]:

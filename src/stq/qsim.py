@@ -90,21 +90,6 @@ class State:
         return State(reg, np.multiply.outer(self.vec, other.vec))
 
 
-def basis_state(register: Register, values: Sequence[int]) -> State:
-    """|values[0], values[1], ...> in the given register."""
-    dims = register.dims
-    if len(values) != len(dims):
-        raise ValueError("need one basis value per slot")
-    idx = 0
-    for val, d in zip(values, dims):
-        if not 0 <= val < d:
-            raise ValueError("basis value out of range")
-        idx = idx * d + val
-    vec = np.zeros(register.total_dim, dtype=np.complex128)
-    vec[idx] = 1.0
-    return State(register, vec)
-
-
 def maximally_entangled(d: int, labels: tuple[str, str] = ("a", "b")) -> State:
     """(1/sqrt d) sum_j |jj> on two fresh slots."""
     reg = Register([(labels[0], d), (labels[1], d)])

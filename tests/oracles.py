@@ -4,10 +4,10 @@ Everything here is an independent re-derivation -- index loops, dense
 arrays, raster grids -- of something src/stq computes more cleverly.
 Slow and transparent on purpose: when a test disagrees with an oracle,
 the oracle is the side to believe.  Nothing in this module imports stq,
-with two exceptions: `haar_state` wraps its random vector in the qsim
-state the tests feed to the package, and the pad-key enumeration at the
-end re-runs the engine's own interpreter for every key assignment so that
-only key scoring differs.
+with three exceptions: `basis_state` and `haar_state` wrap their vectors
+in the qsim state the tests feed to the package, and the pad-key
+enumeration at the end re-runs the engine's own interpreter for every key
+assignment so that only key scoring differs.
 """
 
 from __future__ import annotations
@@ -158,6 +158,16 @@ def brute_causal_leq(p, q):
     dt = q[0] - p[0]
     dx2 = sum((b - a) ** 2 for a, b in zip(p[1:], q[1:]))
     return dt >= 0 and dt * dt >= dx2
+
+
+def exact_causal_leq(p, q):
+    """p precedes q, decided in exact rationals: coordinate tuples
+    (t, x1, ..) of floats, each converted to a Fraction exactly."""
+    p = [Fraction(c) for c in p]
+    q = [Fraction(c) for c in q]
+    dt = q[0] - p[0]
+    return dt >= 0 and dt * dt >= sum((b - a) ** 2
+                                      for a, b in zip(p[1:], q[1:]))
 
 
 def brute_boxes_linked(boxa, boxb):
@@ -372,8 +382,26 @@ def oracle_decode_front_pair():
 
 
 # --------------------------------------------------------------------
-# random test states
+# test states
 # --------------------------------------------------------------------
+
+
+def basis_state(register, values):
+    """|values[0], values[1], ...> on a qsim register: the one-hot vector
+    at the mixed-radix index of `values`, slot 0 most significant."""
+    from stq.qsim import State
+
+    dims = register.dims
+    if len(values) != len(dims):
+        raise ValueError("need one basis value per slot")
+    idx = 0
+    for val, d in zip(values, dims):
+        if not 0 <= val < d:
+            raise ValueError("basis value out of range")
+        idx = idx * d + val
+    vec = np.zeros(register.total_dim, dtype=np.complex128)
+    vec[idx] = 1.0
+    return State(register, vec)
 
 
 def haar_state(register, rng):

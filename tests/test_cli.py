@@ -289,6 +289,38 @@ def test_malformed_file_is_a_usage_error(runner, tmp_path):
     assert "line 2" in res.output
 
 
+def run_check_in_c_locale(path):
+    """`stq check PATH` in a fresh process whose locale encoding is ASCII,
+    so an uncaught decode error would print a traceback and a file read
+    in the locale's encoding would fail on any non-ASCII byte."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "stq.cli", "check", str(path)],
+        capture_output=True, encoding="utf-8", errors="replace", env=env)
+
+
+def test_non_utf8_file_is_a_usage_error(tmp_path):
+    bad = tmp_path / "bad.stq"
+    bad.write_bytes(b"task localize_exclude\n# caf\xff\n")
+    proc = run_check_in_c_locale(bad)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "not UTF-8 text: byte 0xff at offset 27" in proc.stderr
+
+
+def test_utf8_file_loads_whatever_the_locale(tmp_path):
+    good = tmp_path / "good.stq"
+    good.write_bytes(serialize_task(fixture("fig1")).encode("utf-8")
+                     + "# \u00e9t\u00e9 \u00b2\n".encode("utf-8"))
+    proc = run_check_in_c_locale(good)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "feasible"
+
+
 def test_render_svg_flattens_higher_dimensions():
     svg = render_svg(fixture("fig13"))
     assert svg.startswith("<svg")

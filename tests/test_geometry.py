@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_boxes_linked, brute_causal_leq, face_graph_escape,
-                     orientation, polyline_touches_boxes, raster_escape)
+from oracles import (brute_boxes_linked, brute_causal_leq, exact_causal_leq,
+                     face_graph_escape, orientation, polyline_touches_boxes,
+                     raster_escape)
 from stq import geometry
 from stq.geometry import (Box, Diamond, Point, Region, causal_leq, connected,
                           earliest_point_after, escape_exists,
@@ -54,6 +56,66 @@ def test_causal_leq_matches_brute_force(p, q):
 @given(points2, points2)
 def test_causal_leq_matches_brute_force_planar(p, q):
     assert causal_leq(p, q) == brute_causal_leq((p.t, *p.x), (q.t, *q.x))
+
+
+# Any finite double, with the awkward ones drawn often: signed zeros,
+# subnormals, and magnitudes near 1e+-300, whose squares underflow or
+# overflow.
+MAX_DOUBLE = 1.7976931348623157e308
+any_double = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-300, -1e-300, 1e300, -1e300, MAX_DOUBLE,
+                     -MAX_DOUBLE]),
+    st.integers(-2 ** 52, 2 ** 52).map(lambda k: k * 5e-324),
+    st.floats(1e295, 1e305).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.floats(1e-305, 1e-295).flatmap(lambda m: st.sampled_from([m, -m])),
+)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=600)
+@given(any_double, any_double, any_double, any_double)
+@example(0.0, -0.0, -0.0, 0.0)
+@example(0.0, 0.0, 1e-300, 5e-324)
+@example(-MAX_DOUBLE, 1e300, MAX_DOUBLE, -1e300)
+def test_one_dimension_is_the_general_sum_bit_for_bit(t1, x1, t2, x2):
+    # the loop's sum for one coordinate is 0.0 + d * d, bit for bit d * d
+    d = x2 - x1
+    dd = 0.0
+    dd += d * d
+    assert bits(dd) == bits(d * d)
+    dt = t2 - t1
+    general = not dt < 0.0 and dt * dt >= dd
+    assert causal_leq(point(t1, x1), point(t2, x2)) == general
+    # a zero second coordinate adds 0.0 to the same square in the loop
+    assert causal_leq(point(t1, x1, 0.0), point(t2, x2, -0.0)) == general
+
+
+half = st.integers(-60, 60).map(lambda k: k / 2.0)
+# (dt, dx...) steps on the light cone, scaled and signed below
+CONE_STEPS = {1: [(0, 0), (1, 1), (3, 3), (7, 7)],
+              2: [(0, 0, 0), (1, 1, 0), (1, 0, 1), (5, 3, 4), (5, 4, 3),
+                  (13, 5, 12), (25, 24, 7)]}
+
+
+@settings(max_examples=500)
+@given(st.sampled_from([1, 2]), st.data())
+def test_causal_leq_agrees_with_exact_rationals(dim, data):
+    p = data.draw(st.tuples(*[half] * (dim + 1)))
+    if data.draw(st.booleans()):
+        q = data.draw(st.tuples(*[half] * (dim + 1)))
+    else:  # a lightlike step from p, nudged by half a unit in t or not
+        c, *legs = data.draw(st.sampled_from(CONE_STEPS[dim]))
+        k = data.draw(st.sampled_from([0.5, 1.0, 1.5, -0.5]))
+        signs = data.draw(st.tuples(*[st.sampled_from([1, -1])] * dim))
+        nudge = data.draw(st.sampled_from([-0.5, 0.0, 0.5]))
+        q = (p[0] + k * c + nudge,
+             *(a + s * k * leg for a, s, leg in zip(p[1:], signs, legs)))
+    assert causal_leq(point(*p), point(*q)) == exact_causal_leq(p, q)
 
 
 @given(points1)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib.resources
 import pickle
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stq.feasibility import check_task
@@ -337,3 +339,224 @@ def test_serialize_parse_summoning_round_trip(spots):
     for name, d in diamonds.items():
         assert again.diamonds[name].c == d.c
         assert again.diamonds[name].r == d.r
+
+
+# ---------------------------------------------------------------- parse errors
+
+BOX_REGION = "region A {{\n {}\n}}\n"
+PARSE_ERRORS = {
+    "duplicate-task": ("task pit\ntask pit\n", "duplicate task line", 2),
+    "task-needs-one-kind": ("task pit now\n", "task line needs one kind", 1),
+    "task-needs-a-kind": ("dim 1\ntask\n", "task line needs one kind", 2),
+    "dim-zero": ("task pit\ndim 0\n", "dim needs a positive integer", 2),
+    "dim-word": ("task pit\ndim two\n", "dim needs a positive integer", 2),
+    "dim-two-values": ("task pit\ndim 1 2\n",
+                       "dim needs a positive integer", 2),
+    "dim-negative": ("task pit\ndim -1\n", "dim needs a positive integer", 2),
+    "secret-dim-word": ("task pit\nsecret_dim three\n",
+                        "secret_dim needs an integer", 2),
+    "secret-dim-missing": ("task pit\nsecret_dim\n",
+                           "secret_dim needs an integer", 2),
+    "party-two-names": ("task access_structure\nparty A B\n",
+                        "party needs one name", 2),
+    "party-no-name": ("task access_structure\nparty\n",
+                      "party needs one name", 2),
+    "diamond-no-name": ("task pit\ndiamond c=(0, 0) r=(1, 0)\n",
+                        "top-level diamond needs a name", 2),
+    "diamond-bare": ("task pit\ndiamond\n", "top-level diamond needs a name",
+                     2),
+    "duplicate-diamond": ("task pit\ndiamond D c=(0, 0) r=(1, 0)\n"
+                          "diamond D c=(0, 0) r=(1, 0)\n",
+                          "duplicate diamond 'D'", 3),
+    "diamond-body": ("task pit\ndiamond D c=(0, 0)\n",
+                     "diamond needs c=(..) r=(..)", 2),
+    "diamond-not-causal": ("task pit\ndiamond D c=(0, 0) r=(0, 5)\n",
+                           "diamond return corner must be in the causal "
+                           "future", 2),
+    "region-no-brace": ("task localize_exclude\nregion A\n",
+                        "region line must be: region NAME {", 2),
+    "region-two-names": ("task localize_exclude\nregion A B {\n",
+                         "region line must be: region NAME {", 2),
+    "duplicate-region": ("task localize_exclude\n"
+                         + BOX_REGION.format("box u=[1, 2] v=[1, 2]") * 2,
+                         "duplicate region 'A'", 5),
+    "empty-region": ("task localize_exclude\nregion A {\n# nothing\n}\n",
+                     "region 'A' is empty", 4),
+    "box-in-dim-2": ("task localize_exclude\ndim 2\n"
+                     + BOX_REGION.format("box u=[1, 2] v=[1, 2]"),
+                     "box sugar needs one spatial dimension", 4),
+    "box-shape": ("task localize_exclude\n"
+                  + BOX_REGION.format("box v=[1, 2] u=[1, 2]"),
+                  "box needs u=[..] v=[..]", 3),
+    "box-three-bounds": ("task localize_exclude\n"
+                         + BOX_REGION.format("box u=[1, 2, 3] v=[1, 2]"),
+                         "expected two bounds in 'u=[1, 2, 3]'", 3),
+    "box-one-bound": ("task localize_exclude\n"
+                      + BOX_REGION.format("box u=[1, 2] v=[1]"),
+                      "expected two bounds in 'v=[1]'", 3),
+    "box-empty-interval": ("task localize_exclude\n"
+                           + BOX_REGION.format("box u=[2, 1] v=[1, 2]"),
+                           "empty interval in 'u=[2, 1]'", 3),
+    "box-bad-bound": ("task localize_exclude\n"
+                      + BOX_REGION.format("box u=[1, 2] v=[1, two]"),
+                      "bad number 'two'", 3),
+    "region-stray-line": ("task localize_exclude\n"
+                          + BOX_REGION.format("authorized A"),
+                          "unexpected 'authorized A' inside region block", 3),
+    "region-tabbed-diamond": ("task localize_exclude\n"
+                              + BOX_REGION.format("diamond\tc=(0,0) r=(1,0)"),
+                              "inside region block", 3),
+    "unknown-directive": ("task pit\nstop (0, 0)\n",
+                          "unknown directive 'stop'", 2),
+    "unterminated-region": ("task localize_exclude\nregion A {\n"
+                            " box u=[1, 2] v=[1, 2]\n\n# end\n",
+                            "unterminated region 'A'", 5),
+    "missing-task": ("\ndim 1\nstart (0, 0)\n", "missing task line", 1),
+    "empty-authorized": ("task pit\nauthorized\n",
+                         "authorized needs at least one name", 2),
+    "empty-unauthorized": ("task pit\nunauthorized  # none\n",
+                           "unauthorized needs at least one name", 2),
+    "start-not-a-point": ("task pit\nstart 0, 0\n",
+                          "expected a point, got '0, 0'", 2),
+    "start-missing": ("task pit\nstart\n", "expected a point, got ''", 2),
+    "start-bad-number": ("task pit\nstart (0, zero)\n", "bad number 'zero'",
+                         2),
+    "start-nested": ("task pit\nstart ((0, 0))\n", "bad number '(0'", 2),
+    "too-few-coordinates": ("task pit\nstart (0)\n",
+                            "a point needs t plus spatial coordinates", 2),
+    "no-coordinates": ("task pit\nstart ()\n",
+                       "a point needs t plus spatial coordinates", 2),
+    "wrong-coordinate-count": ("task pit\nstart (0, 1, 2)\n",
+                               "point has 2 spatial coordinates, expected 1",
+                               2),
+    "corner-coordinate-count": ("task pit\ndim 2\n"
+                                "diamond D c=(0, 0) r=(1, 0, 0)\n",
+                                "point has 1 spatial coordinates, expected 2",
+                                3),
+}
+
+
+@pytest.mark.parametrize("text, fragment, line", PARSE_ERRORS.values(),
+                         ids=PARSE_ERRORS)
+def test_parse_errors_name_their_line(text, fragment, line):
+    with pytest.raises(TaskFormatError) as err:
+        parse_task(text)
+    assert fragment in str(err.value)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+# ------------------------------------------------------------ header digits
+# `str.isdigit` takes superscripts and other scripts' digits, which `int`
+# either rejects with a bare ValueError (`²`) or reads as a number (`٣`).
+
+ASSEMBLY_AFTER_HEADER = ("task state_assembly\n{}\nstart (-1, 0)\n"
+                         "diamond D c=(0, 0) r=(1, 0)\nauthorized D\n")
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ("dim \u00b2", "dim needs a positive integer"),
+    ("dim \u0663", "dim needs a positive integer"),
+    ("dim \uff11", "dim needs a positive integer"),
+    ("secret_dim \u00b3", "secret_dim needs an integer"),
+    ("secret_dim \u0663", "secret_dim needs an integer"),
+], ids=["superscript-dim", "arabic-indic-dim", "fullwidth-dim",
+        "superscript-secret-dim", "arabic-indic-secret-dim"])
+def test_header_values_are_ascii_digits(line, fragment):
+    with pytest.raises(TaskFormatError, match=fragment) as err:
+        parse_task(ASSEMBLY_AFTER_HEADER.format(line))
+    assert err.value.line == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() converts any number of digits here")
+def test_header_value_longer_than_int_converts_is_a_format_error():
+    digits = "0" * sys.get_int_max_str_digits() + "3"
+    with pytest.raises(TaskFormatError, match="secret_dim needs") as err:
+        parse_task(ASSEMBLY_AFTER_HEADER.format("secret_dim " + digits))
+    assert err.value.line == 2
+
+
+def test_ascii_headers_still_parse():
+    task = parse_task(ASSEMBLY_AFTER_HEADER.format("secret_dim 05"))
+    assert task.secret_dim == 5 and task.dim == 1
+
+
+# ------------------------------------------------------- empty coordinates
+
+
+@pytest.mark.parametrize("line", [
+    "start (-1,,0)", "start (-1, 0,)", "start (, -1, 0)", "start (-1, \t, 0)",
+    "diamond D c=(0,, 0) r=(1, 0)", "diamond D c=(0, 0) r=(1, 0, )",
+], ids=["doubled-comma", "trailing-comma", "leading-comma", "blank-between",
+        "call-corner", "return-corner"])
+def test_empty_coordinates_are_rejected(line):
+    text = ("task state_assembly\nstart (-1, 0)\n"
+            "diamond D c=(0, 0) r=(1, 0)\nauthorized D\n")
+    head = line.split()[0]
+    text = "\n".join(line if ln.startswith(head) else ln
+                     for ln in text.splitlines())
+    with pytest.raises(TaskFormatError, match="bad number ''") as err:
+        parse_task(text)
+    assert err.value.line == (2 if head == "start" else 3)
+
+
+def test_coordinates_may_carry_any_space_strip_removes():
+    # U+001F is space to `str.strip` but not to `float`
+    text = ("task state_assembly\nstart (\x1f-1,\u2003 0\x1f)\n"
+            "diamond D c=(0, 0) r=(1,\x1f0)\nauthorized D\n")
+    task = parse_task(text)
+    assert task.start == point(-1, 0)
+    assert task.diamonds["D"] == Diamond(point(0, 0), point(1, 0))
+
+
+# ---------------------------------------------------------------- fuzz
+# Fixture text with a few lines inserted, replaced, deleted or poked.  The
+# alphabet holds the characters the grammar gives meaning to, and digits
+# that `str.isdigit` takes but the grammar does not.
+
+FUZZ_ALPHABET = "abcdrtuvx019\u00b2\u0663_#[](){},=.:- \t"
+FUZZ_WORDS = ["task", "dim", "secret_dim", "start", "party", "diamond",
+              "region", "box", "authorized", "unauthorized", "}", "c=(",
+              "r=(", "u=[", "v=[", "state_assembly", "localize_exclude"]
+fuzz_text = st.text(FUZZ_ALPHABET, max_size=24)
+fuzz_line = st.one_of(fuzz_text, st.builds(
+    "{} {}".format, st.sampled_from(FUZZ_WORDS), fuzz_text))
+
+
+def fixture_text(name):
+    res = importlib.resources.files("stq").joinpath("fixtures", f"{name}.stq")
+    return res.read_text(encoding="utf-8")
+
+
+@st.composite
+def mutated_fixture(draw):
+    lines = fixture_text(draw(st.sampled_from(ALL_FIXTURES))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["insert", "replace", "delete", "poke"]))
+        if op == "insert":
+            lines.insert(i, draw(fuzz_line))
+        elif i == len(lines):
+            continue
+        elif op == "replace":
+            lines[i] = draw(fuzz_line)
+        elif op == "delete":
+            del lines[i]
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            poke = draw(st.text(FUZZ_ALPHABET, min_size=1, max_size=2))
+            lines[i] = lines[i][:j] + poke + lines[i][j + 1:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(mutated_fixture())
+@example("task pit\ndim \u00b2\n")
+@example("task localize_exclude\nsecret_dim \u0663\n")
+def test_parse_task_returns_a_task_or_raises_task_error(text):
+    try:
+        task = parse_task(text)
+    except TaskError:
+        return
+    assert isinstance(task, TaskSpec)

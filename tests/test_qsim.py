@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (haar_state, oracle_apply, oracle_bell_projection,
-                     oracle_code23_isometry, oracle_isometry, oracle_weyl,
-                     qotp_twirl, reduced)
+from oracles import (basis_state, haar_state, oracle_apply,
+                     oracle_bell_projection, oracle_code23_isometry,
+                     oracle_isometry, oracle_weyl, qotp_twirl, reduced)
 from stq.qsim import (Register, apply_isometry, apply_unitary, apply_weyl,
-                     basis_state, bell_project, depolarize_slot, fidelity,
+                     bell_project, depolarize_slot, fidelity,
                      maximally_entangled, partial_trace, trace_distance,
                      weyl)
 
