@@ -29,10 +29,14 @@ unguarded moves ending exactly on one of their return corners — plus any
 broadcast whose origin can reach them.  A key counts as known once every
 part of one of its split copies is in view.
 
-Reconstruction is scored as squared fidelity with the maximally entangled
-reference pair; exclusion as the trace distance between the collected view
-(jointly with the reference slot) and the same view with the reference
-maximally mixed, averaged over the classical values the collection holds.
+One decode rule (`_decode_paths`) serves delivery, exclusion and transfer:
+a plain slot, else two code shares of distinct index.  Reconstruction is
+scored as squared fidelity with the maximally entangled reference pair, 0
+without a decode path; exclusion as the trace distance between the
+collected view (jointly with the reference slot) and the same view with
+the reference maximally mixed, averaged over the classical values the
+collection holds.  A transfer receiver's check reads the left-over share
+the other party collected, and scores 0 without one.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,14 +175,15 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
     measurement takes two distinct slots, and its far half (the partner of
     its second slot) must still be alive, since it receives the teleported
     state.  An encode needs a qutrit secret, because the ((2,3)) code is a
-    qutrit code.  It checks pad-key availability at the pad point,
-    single-use pad keys, pads whose record no later event drops (an encode
-    or a teleport would lose the token's pad stack), that transfer plans
-    carry no pad, and — for localize-exclude plans — that the key part
-    routed against each excluded region never touches it.  Raises
-    EngineError with a specific message on the first violation.
+    qutrit code.  It checks pad-key availability at the pad point (an
+    exact point-on-worldline test, in any dimension), single-use pad keys,
+    pads whose record no later event drops (an encode or a teleport would
+    lose the token's pad stack), that transfer plans carry no pad, and —
+    for localize-exclude plans — that the key part routed against each
+    excluded region never touches it.  Raises EngineError with a specific
+    message on the first violation.
 
-    Both contact rules ask `contacts`, the plan's contact table (see
+    That last rule asks `contacts`, the plan's contact table (see
     `_Contacts`); `simulate` passes the one its scenarios then read, and
     by default the audit makes its own.
     """
@@ -373,9 +379,6 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
                     f"{what}: move of an unknown token {lab!r}")
     if not sourced:
         raise EngineError("the plan has no source")
-    if contacts is None:
-        contacts = _Contacts(plan.events)
-    touches = contacts.touches
 
     # pad-key availability: the key is born at the pad point, or a complete
     # split copy passes through it along unguarded moves.
@@ -385,10 +388,9 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
         key, at = ev["key"], ev["at"]
         if keys[key] == at:
             continue
-        spot = (Diamond(at, at),)
         if not any(
             src == key and all(
-                any(touches(j, at, spot) for j in cpaths[part])
+                any(_passes_through(plan.events[j], at) for j in cpaths[part])
                 for part in parts)
             for src, parts in splits
         ):
@@ -399,6 +401,7 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
     # localize-exclude: the part routed against each excluded region must
     # avoid it along its whole worldline.
     if task.kind == "localize_exclude" and task.unauthorized:
+        touches = (contacts or _Contacts(plan.events)).touches
         m = len(task.unauthorized)
         zones = [task.collection(s) for s in task.unauthorized]
         for src, parts in splits:
@@ -411,16 +414,33 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
                         "it is routed against")
 
 
+def _passes_through(ev: dict, p: Point) -> bool:
+    """Does the worldline piece that event `ev` made (see `_Contacts`)
+    pass through `p`?  Exact in any dimension: on an audited, so causal,
+    path `p` is a vertex, or lies strictly between a segment's end times
+    with p - a parallel to b - a, which is decided in rationals."""
+    path = ev.get("path") or (ev["at"],)
+    for a, b in zip(path, path[1:] or path):
+        if a == p or b == p:
+            return True
+        if a.t < p.t < b.t:
+            e, g = ([Fraction(y) - Fraction(x)
+                     for x, y in zip((a.t, *a.x), (q.t, *q.x))]
+                    for q in (p, b))
+            if all(e[k] * g[0] == e[0] * g[k] for k in range(1, len(e))):
+                return True
+    return False
+
+
 class _Contacts:
     """Worldline contact for one plan, each answer computed once.
 
     A worldline piece is named by the index of the event that made it: the
     birth point of a source, encode, create_pair or split (every label the
     event makes shares it), or the path of a move.  Each piece is charted
-    once, on its first question.  A collection is named by a key that
-    stands for one union of diamonds within the plan's task: a
-    collection's label, or a pad's point.  Its box list is built once, and
-    each (piece, collection) question is answered once.
+    once, on its first question.  A collection is named by its label, which
+    stands for one union of diamonds within the plan's task.  Its box list
+    is built once, and each (piece, collection) question is answered once.
     """
 
     __slots__ = ("_events", "_charts", "_boxes", "_answers")
@@ -605,18 +625,6 @@ class _View:
     outcomes: set[str]
 
 
-def _handed_over(handovers: Sequence[tuple[Point, bool]],
-                 region: Region) -> bool:
-    returns = [dd.r for dd in region.diamonds]
-    for endpoint, guarded in handovers:
-        if guarded:
-            if region.contains(endpoint):
-                return True
-        elif any(endpoint == r for r in returns):
-            return True
-    return False
-
-
 def _collect(trace: _Trace, region: Region, geometric: bool,
              contacts: _Contacts | None = None) -> _View:
     """What `region` collects: slots and parts whose worldline touches it
@@ -635,8 +643,11 @@ def _collect(trace: _Trace, region: Region, geometric: bool,
         def hit(tok: _Tok) -> bool:
             return any(touches(i, name, ds) for i in tok.paths)
     else:
+        returns = [dd.r for dd in region.diamonds]
+
         def hit(tok: _Tok) -> bool:
-            return _handed_over(tok.handovers, region)
+            return any(region.contains(end) if guarded else end in returns
+                       for end, guarded in tok.handovers)
 
     slots = [lab for lab, tok in trace.q.items() if tok.alive and hit(tok)]
     parts = {lab for lab, tok in trace.c.items() if hit(tok)}
@@ -678,50 +689,49 @@ def _undo(state: qsim.State, tok: _Tok,
 def _usable(trace: _Trace, view: _View) -> list[_Tok]:
     """The view's slots it can read: those whose every pad key and every
     teleport outcome is in view."""
-    usable: list[_Tok] = []
-    for lab in view.slots:
-        tok = trace.q[lab]
-        if all((name in view.keys) if kind == "pad"
-               else (name in view.outcomes)
-               for kind, name in tok.stack):
-            usable.append(tok)
-    return usable
+    return [tok for tok in map(trace.q.__getitem__, view.slots)
+            if all(name in (view.keys if kind == "pad" else view.outcomes)
+                   for kind, name in tok.stack)]
 
 
-def _decodable(usable: Sequence[_Tok]) -> bool:
-    """Whether `_reconstruct` finds a decode path among usable slots: a
-    plain slot, or two code shares of distinct index.  Classical, so an
-    exclusion, which needs only this flag, pays for no dense decode."""
-    return (any(tok.plain for tok in usable)
-            or len({tok.share for tok in usable
-                    if tok.share is not None}) > 1)
+def _decode_paths(usable: Sequence[_Tok]) -> Iterator[tuple[_Tok, ...]]:
+    """The one decode rule: each way to read the secret from usable slots,
+    best first.  Each plain slot by label, then each pair of code shares of
+    distinct index by (index, label).  Delivery and transfer decode along
+    the first; an exclusion's reconstruction flag is whether one exists."""
+    yield from ((t,) for t in sorted((t for t in usable if t.plain),
+                                     key=lambda t: t.label))
+    shares = sorted((t for t in usable if t.share is not None),
+                    key=lambda t: (t.share, t.label))
+    for ta, tb in itertools.combinations(shares, 2):
+        if ta.share != tb.share:
+            yield ta, tb
+
+
+def _decode(state: qsim.State, path: tuple[_Tok, ...],
+            d: int) -> tuple[qsim.State, float]:
+    """Decode along `path`: the state after, and the squared fidelity of
+    the slot holding the secret with the reference."""
+    if len(path) == 2:
+        ta, tb = path
+        state = schemes.code23_decode(state, (ta.share, tb.share),
+                                      ta.label, tb.label)
+    dm = qsim.partial_trace(state, ["ref", path[0].label])
+    return state, qsim.fidelity(dm, _reference(d))
 
 
 def _reconstruct(trace: _Trace, view: _View,
                  key_values: dict[str, tuple[int, int]],
                  d: int) -> tuple[float, bool]:
     """Best decode from a view: (fidelity, whether a decode path existed)."""
-    state = trace.state
     usable = _usable(trace, view)
+    path = next(_decode_paths(usable), None)
+    if path is None:
+        return 0.0, False
+    state = trace.state
     for tok in usable:
         state = _undo(state, tok, key_values)
-    secret = None
-    plain = sorted((t for t in usable if t.plain), key=lambda t: t.label)
-    if plain:
-        secret = plain[0].label
-    else:
-        shares = sorted((t for t in usable if t.share is not None),
-                        key=lambda t: (t.share, t.label))
-        for ta, tb in itertools.combinations(shares, 2):
-            if ta.share != tb.share:
-                state = schemes.code23_decode(
-                    state, (ta.share, tb.share), ta.label, tb.label)
-                secret = ta.label
-                break
-    if secret is None:
-        return 0.0, False
-    dm = qsim.partial_trace(state, ["ref", secret])
-    return qsim.fidelity(dm, _reference(d)), True
+    return _decode(state, path, d)[1], True
 
 
 def _exclusion_dm(trace: _Trace, view: _View) -> np.ndarray:
@@ -798,9 +808,8 @@ def simulate(plan: Plan, tol: float = 1e-9,
     of dense states, so each distinct quantum history (see `_run`) is
     evolved once per call.  They and the audit also share one contact
     table (see `_Contacts`): each fired worldline piece is charted once,
-    and its contact with each collection is decided once, exactly.  An
-    exclusion needs the reconstruction flag alone, which is decided
-    classically (see `_decodable`).
+    and its contact with each collection is decided once, exactly.  One
+    decode rule (`_decode_paths`) serves delivery, exclusion and transfer.
 
     `max_key_enumeration` and `key_samples` no longer change the result;
     they are kept because the benchmark tracer
@@ -867,7 +876,8 @@ def simulate(plan: Plan, tol: float = 1e-9,
                         label, role, fidelity=fid, reconstructed=found,
                         ok=fid >= 1.0 - tol))
                 else:
-                    found = _decodable(_usable(trace, view))
+                    found = next(_decode_paths(_usable(trace, view)),
+                                 None) is not None
                     leak = _twirl_leak(trace, view, d)
                     leaks.append(leak)
                     res.collectors.append(CollectorResult(
@@ -930,44 +940,30 @@ def _simulate_pit(plan: Plan, tol: float) -> SimulationReport:
     scenarios: list[ScenarioResult] = []
     fids: list[float] = []
     chis: list[float] = []
-
     states: dict = {}
 
     for receiver, third, calls in _pit_battery(task):
         tr = _run(plan, calls, {}, states)
-        mine = [p for p in pair_map if p != third]
         region = Region("receiver", tuple(
-            pair_map[p][receiver - 1] for p in mine))
-        view = _collect(tr, region, geometric=False)
-        toks = sorted(
-            (tr.q[lab] for lab in view.slots
-             if tr.q[lab].share is not None),
-            key=lambda t: (t.share, t.label))
-        if len(toks) != 2 or toks[0].share == toks[1].share:
-            raise EngineError(
-                "the receiver did not end up with two distinct code "
-                f"shares in scenario {_fmt_calls(sorted(calls))}")
+            ds[receiver - 1] for p, ds in pair_map.items() if p != third))
         # a transfer plan carries no pads, and its teleport corrections
         # are the identity, so there is nothing to undo before decoding
-        state = schemes.code23_decode(
-            tr.state, (toks[0].share, toks[1].share),
-            toks[0].label, toks[1].label)
-        fid = qsim.fidelity(
-            qsim.partial_trace(state, ["ref", toks[0].label]),
-            _reference(d))
-        spare = 3 - toks[0].share - toks[1].share
-        spares = [t for t in tr.q.values()
-                  if t.alive and t.share == spare]
-        if len(spares) != 1:
-            raise EngineError("exactly one code share must be left over")
-        other_region = Region(
-            "other", (pair_map[third][2 - receiver],))
-        if not _handed_over(spares[0].handovers, other_region):
-            raise EngineError(
-                "the left-over share was not delivered to the other party")
-        chi = qsim.fidelity(
-            qsim.partial_trace(state, [toks[1].label, spares[0].label]),
-            schemes.chi_state())
+        path = next(_decode_paths(_usable(tr, _collect(tr, region, False))),
+                    None)
+        fid = chi = 0.0
+        if path is not None:
+            state, fid = _decode(tr.state, path, d)
+        if path is not None and len(path) == 2:
+            # the check reads the receiver's second share against the
+            # left-over one, which the other party must have collected
+            spare = 3 - path[0].share - path[1].share
+            other = _collect(tr, Region(
+                "other", (pair_map[third][2 - receiver],)), False)
+            left = [lab for lab in other.slots if tr.q[lab].share == spare]
+            if left:
+                chi = qsim.fidelity(
+                    qsim.partial_trace(state, [path[1].label, left[0]]),
+                    schemes.chi_state())
         fids.append(fid)
         chis.append(chi)
         scenarios.append(ScenarioResult(

@@ -22,15 +22,20 @@ other violating subsets are not listed.
 
 A verdict lists every violated condition with the sets that witness it,
 in a fixed order, so infeasibility is always explained.
+
+Each condition the planner builds from has one generator of its witnesses:
+`geometry.reached` for I_A, `linked_pairs` for II and `release_witnesses`
+for assembly's III.  The checker asks whether it yields anything, and the
+planner builds from the first witness it can use, as from `b1_peel`'s order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .geometry import Diamond, causal_leq, connected, escape_exists
+from .geometry import Diamond, causal_leq, escape_exists, region_in_future
 from .model import TaskError, TaskSpec
 
 _CONDITION_RANK = {"I_A": 0, "I_B": 1, "II": 2, "III": 3, "B1": 4}
@@ -101,29 +106,27 @@ def _reach_violations(task: TaskSpec,
     """I_A for each authorized collection, then (if `pairwise`) II for
     each two of them.  `auth` holds `TaskSpec.collection` values."""
     assert task.start is not None
-    start = task.start
     ia, ii = _REACH_DETAIL[task.kind]
-    out = []
-    for label, ds in auth:
-        for d in ds:
-            if causal_leq(start, d.r):
-                break
-        else:
-            out.append(Violation("I_A", (label,), ia))
+    out = [Violation("I_A", (label,), ia) for label, ds in auth
+           if not region_in_future(ds, task.start)]
     if pairwise:
         for (la, da), (lb, db) in itertools.combinations(auth, 2):
-            if not _linked(da, db):
+            if next(linked_pairs(da, db), None) is None:
                 out.append(Violation("II", (la, lb), ii))
     return out
 
 
-def _linked(da: Sequence[Diamond], db: Sequence[Diamond]) -> bool:
-    """Is some diamond of `da` causally connected to some diamond of `db`?"""
+def linked_pairs(da: Sequence[Diamond],
+                 db: Sequence[Diamond]) -> Iterator[tuple[Diamond, Diamond]]:
+    """The causally connected pairs of a diamond of `da` and one of `db`,
+    in that order, each as (sender, receiver): the sender's call precedes
+    the receiver's return.  These are condition II's witnesses."""
     for a in da:
         for b in db:
-            if connected(a, b):
-                return True
-    return False
+            if causal_leq(a.c, b.r):
+                yield a, b
+            elif causal_leq(b.c, a.r):
+                yield b, a
 
 
 # --------------------------------------------------------------------
@@ -169,7 +172,7 @@ def _check_assembly(task: TaskSpec) -> Verdict:
                             [task.collection(s) for s in task.authorized])
     for sa in task.authorized:
         for su in task.unauthorized:
-            if not _exclusion_separable(task, sa, su):
+            if next(release_witnesses(task, sa, su), None) is None:
                 out.append(Violation(
                     "III", (task.set_label(sa), task.set_label(su)),
                     "the collection sits inside the excluded one and no "
@@ -177,25 +180,24 @@ def _check_assembly(task: TaskSpec) -> Verdict:
     return _verdict(out)
 
 
-def _exclusion_separable(task: TaskSpec, auth: Sequence[str],
-                         excl: Sequence[str]) -> bool:
-    """Can releases at `auth` be conditioned so `excl` alone learns nothing?
+def release_witnesses(task: TaskSpec, auth: Sequence[str],
+                      excl: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """Condition III's witnesses: where a release at `auth` can be
+    conditioned so `excl` alone learns nothing, as (member, private calls).
 
-    Trivially yes when the authorized collection has a diamond outside the
-    excluded one.  Otherwise some authorized diamond's return must see a
-    call point that belongs only to the excluded collection, so the release
-    can be withheld when that extra call fires.
+    First each member outside `excl`, with no calls, since its own call is
+    never the excluded pattern's.  Then, in `auth` order, each member whose
+    return sees calls private to `excl`, withheld when one of them fires.
     """
-    extra = [n for n in auth if n not in excl]
-    if extra:
-        return True
-    only_excl = [n for n in excl if n not in auth]
-    for na in auth:
-        r = task.diamonds[na].r
-        for ne in only_excl:
-            if causal_leq(task.diamonds[ne].c, r):
-                return True
-    return False
+    for nm in auth:
+        if nm not in excl:
+            yield nm, []
+    private = [nm for nm in excl if nm not in auth]
+    for nm in auth:
+        r = task.diamonds[nm].r
+        visible = [pe for pe in private if causal_leq(task.diamonds[pe].c, r)]
+        if visible:
+            yield nm, visible
 
 
 # --------------------------------------------------------------------

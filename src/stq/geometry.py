@@ -54,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Point",
@@ -66,6 +66,7 @@ __all__ = [
     "to_lightcone",
     "from_lightcone",
     "region_in_future",
+    "reached",
     "connected",
     "earliest_point_after",
     "escape_exists",
@@ -244,14 +245,19 @@ def _diamonds_of(obj: _DiamondsLike) -> tuple[Diamond, ...]:
     return tuple(obj)
 
 
-def region_in_future(region: _DiamondsLike, p: Point) -> bool:
-    """Does the region intersect J+(p)?
+def reached(p: Point, region: _DiamondsLike) -> Iterator[int]:
+    """The indices of the region's diamonds that meet J+(p), in order:
+    condition I_A's witnesses when p is the start.  A diamond meets J+(p)
+    exactly when its return corner does (any point of the diamond causally
+    after p forces p <= r by transitivity)."""
+    for i, d in enumerate(_diamonds_of(region)):
+        if causal_leq(p, d.r):
+            yield i
 
-    A diamond meets J+(p) exactly when its return corner does (any point of
-    the diamond causally after p forces p <= r by transitivity), so this is a
-    finite check over return corners.
-    """
-    return any(causal_leq(p, d.r) for d in _diamonds_of(region))
+
+def region_in_future(region: _DiamondsLike, p: Point) -> bool:
+    """Does the region intersect J+(p)?  Whether `reached` yields any."""
+    return next(reached(p, region), None) is not None
 
 
 def connected(a: Diamond, b: Diamond) -> bool:

@@ -17,9 +17,10 @@ A task file is line oriented:
     authorized NAME NAME ...         (one name set per line)
     unauthorized NAME NAME ...
 
-Coordinates and box bounds are finite decimal numbers; `nan`, `inf`,
-values that overflow a float and empty coordinates (`(1,,2)`, `(1, 2,)`)
-are parse errors.  The `dim` and `secret_dim` values are ASCII digits
+Coordinates and box bounds are finite ASCII decimal numbers; `nan`,
+`inf`, values that overflow a float, digit groups (`1_0`), other scripts'
+digits (`٣`, `５`) and empty coordinates (`(1,,2)`, `(1, 2,)`) are parse
+errors.  The `dim` and `secret_dim` values are ASCII digits
 (`[0-9]+`); `²` or `٣` is a parse error.  `load_task` reads a file as
 UTF-8.  Access-structure name sets
 list parties; in every other task what a name set on an
@@ -262,20 +263,23 @@ def _parse_number(tok: str, lineno: int) -> float:
     try:
         x = float(tok)
     except ValueError:
-        raise TaskFormatError(lineno, f"bad number {tok!r}") from None
+        x = None
+    if x is None or not tok.isascii() or "_" in tok:
+        raise TaskFormatError(lineno, f"bad number {tok!r}")
     if not isfinite(x):
         raise TaskFormatError(lineno, f"number {tok!r} is not finite")
     return x
 
 
-def _parse_numbers(parts: list[str], lineno: int) -> list[float]:
-    """The numbers of a comma-split list, in order.  `float` skips the
-    space around a part by itself.  Only a part that is empty, malformed
-    or not finite, or that carries space `str.strip` removes and `float`
-    keeps (U+001F), sends the list through the per-part pass, which strips
-    each part and names the first bad one."""
+def _parse_numbers(text: str, lineno: int) -> list[float]:
+    """The ASCII decimal numbers of comma-separated `text`, in order.  Text
+    `float` might misread (non-ASCII, or a digit-group `_`), or with a part
+    it rejects or reads as not finite, goes through the per-part pass,
+    which strips each part and names the first bad one."""
+    parts = text.split(",")
     try:
-        xs = [float(p) for p in parts]
+        plain = text.isascii() and "_" not in text
+        xs = [float(p) for p in parts] if plain else None
     except ValueError:
         xs = None
     if xs is None or not all(map(isfinite, xs)):
@@ -296,7 +300,7 @@ def _parse_header_int(rest: str, lineno: int, message: str) -> int:
 def _parse_point(inner: str, lineno: int, dim: int) -> Point:
     """The point whose coordinates are `inner`, the text between its
     parentheses."""
-    coords = _parse_numbers(inner.split(","), lineno) if inner.strip() else []
+    coords = _parse_numbers(inner, lineno) if inner.strip() else []
     if len(coords) < 2:
         raise TaskFormatError(lineno, "a point needs t plus spatial coordinates")
     if len(coords) != dim + 1:
@@ -309,11 +313,10 @@ def _parse_point(inner: str, lineno: int, dim: int) -> Point:
 def _parse_interval(key: str, inner: str,
                     lineno: int) -> tuple[float, float]:
     """The bounds of a box's `key=[inner]`."""
-    parts = inner.split(",")
-    if len(parts) != 2:
+    if inner.count(",") != 1:
         raise TaskFormatError(
             lineno, f"expected two bounds in '{key}=[{inner}]'")
-    lo, hi = _parse_numbers(parts, lineno)
+    lo, hi = _parse_numbers(inner, lineno)
     if hi < lo:
         raise TaskFormatError(lineno, f"empty interval in '{key}=[{inner}]'")
     return lo, hi

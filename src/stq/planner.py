@@ -33,11 +33,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .geometry import (Diamond, Point, causal_leq, connected,
-                       earliest_point_after, escape_exists,
-                       extract_escape_path, from_lightcone, to_lightcone)
+from .geometry import (Diamond, Point, causal_leq, earliest_point_after,
+                       escape_exists, extract_escape_path, from_lightcone,
+                       reached, region_in_future, to_lightcone)
 from .model import TaskSpec
-from .feasibility import b1_peel, check_task
+from .feasibility import b1_peel, check_task, linked_pairs, release_witnesses
 
 Guard = dict
 Event = dict
@@ -334,8 +334,7 @@ def _route_cipher(events: list[Event], notes: list[str], share: str,
     # no direct chain: thread a pre-placed half-pair through a connected
     # diamond of each region and teleport the ciphertext onto it
     (la, ra), (lb, rb) = targets
-    witness = next(((a, b) if causal_leq(a.c, b.r) else (b, a)
-                    for a in ra for b in rb if connected(a, b)), None)
+    witness = next(linked_pairs(ra, rb), None)
     if witness is None:
         raise RuntimeError("internal error: the two regions are not "
                            "connected; condition II should have caught this")
@@ -395,27 +394,18 @@ def _plan_assembly(task: TaskSpec) -> Plan:
 
 def _release_rule(task: TaskSpec, auth_names: Sequence[str],
                   excl_names: Sequence[str]) -> tuple[str, Guard]:
-    """Pick the diamond and call predicate releasing one key part.
-
-    If the authorized collection owns a diamond outside the excluded one,
-    release there whenever it is called.  Otherwise release at a member
-    whose return sees a call point private to the excluded collection, and
-    withhold when any such visible private call fired.
+    """Pick the diamond and call predicate releasing one key part: the
+    first of condition III's witnesses (`release_witnesses`) whose return
+    the start reaches.  The release fires when that member is called and
+    none of the private calls it sees fired.
     """
     assert task.start is not None
-    extra = [nm for nm in auth_names if nm not in excl_names]
-    for nm in extra:
-        if causal_leq(task.start, task.diamonds[nm].r):
-            return nm, {"called": [nm]}
-    private = [nm for nm in excl_names if nm not in auth_names]
-    for nm in auth_names:
-        if not causal_leq(task.start, task.diamonds[nm].r):
-            continue
-        r = task.diamonds[nm].r
-        visible = [pe for pe in private
-                   if causal_leq(task.diamonds[pe].c, r)]
-        if visible:
-            return nm, {"called": [nm], "not_called": visible}
+    for nm, visible in release_witnesses(task, auth_names, excl_names):
+        if region_in_future(task.diamonds[nm], task.start):
+            guard: Guard = {"called": [nm]}
+            if visible:
+                guard["not_called"] = visible
+            return nm, guard
     raise Unsupported(
         "no release diamond sees a call distinguishing "
         f"{'+'.join(auth_names)} from {'+'.join(excl_names)}")
@@ -426,14 +416,16 @@ def _route_assembly_cipher(task: TaskSpec, events: list[Event],
                            start: Point,
                            targets: list[tuple[str, ...]]) -> None:
     if len(targets) == 1:
+        # a key part's release diamond is a member the start reaches
         la, ds = task.collection(targets[0])
-        for nm, dd in zip(targets[0], ds):
-            if causal_leq(start, dd.r):
-                events.append({"op": "move", "token": share,
-                               "path": [start, dd.r]})
-                notes.append(f"channel {idx}: ciphertext direct to {nm}")
-                return
-        raise Unsupported(f"ciphertext cannot reach {la}")
+        i = next(reached(start, ds), None)
+        if i is None:
+            raise RuntimeError(f"internal error: ciphertext cannot reach "
+                               f"{la}; condition I_A should have caught this")
+        events.append({"op": "move", "token": share,
+                       "path": [start, ds[i].r]})
+        notes.append(f"channel {idx}: ciphertext direct to {targets[0][i]}")
+        return
 
     names_a, names_b = targets
     for na in names_a:

@@ -3,12 +3,15 @@ from __future__ import annotations
 import collections
 import copy
 import dataclasses
+import functools
 import itertools
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (enumerated_scenarios, haar_state, polyline_touches_boxes,
                      reduced)
@@ -17,7 +20,8 @@ from stq.engine import (CollectorResult, EngineError, ScenarioResult,
                         SimulationReport, pit_cheat_chi_probability, simulate,
                         validate_plan)
 from stq.geometry import Diamond, Region, causal_leq, point
-from stq.model import TaskError, TaskSpec, embed_access_structure, parse_task
+from stq.model import (TaskError, TaskSpec, embed_access_structure, fixture,
+                       parse_task)
 from stq.planner import Plan, PlanningError, plan_task
 
 SIMULATED = ["fig1", "fig10", "fig12", "fig13", "fig14", "fig15", "triangle"]
@@ -60,6 +64,39 @@ def test_transfer_certification_is_exact(report_of):
 def test_two_codeword_cheat_is_caught():
     # the best decoy's pass probability, which bounds every decoy's
     assert abs(pit_cheat_chi_probability() - 1.0 / 9.0) <= 1e-9
+
+
+def _drop_a_handover(events):
+    """fig15 without the move that hands sh0 to a1 when a1 alone calls."""
+    events.remove(next(e for e in events if e.get("guard") == {
+        "called": ["a1"], "not_called": ["a2"]}))
+
+
+def _third_share_to_a1(events):
+    """fig15 with sh2 sent straight to a1's return and never branched, so
+    a receiver at a1 also holds the share the other party should."""
+    a1 = point(3.0, 0.0, 0.0)
+    events[:] = [e for e in events if e.get("token") != "sh2"
+                 or not e.get("guard")]
+    move = next(e for e in events if e.get("token") == "sh2")
+    move["path"] = [move["path"][0], a1]
+
+
+@pytest.mark.parametrize("tamper, calls, fidelity", [
+    (_drop_a_handover, ("a1", "b2", "c1"), 0.0),
+    (_third_share_to_a1, ("a1", "b1", "c2"), 1.0),
+], ids=["receiver-lacks-a-share", "left-over-share-to-receiver"])
+def test_undelivered_transfer_scores_fail(plan_of, report_of, tamper, calls,
+                                          fidelity):
+    # an audited transfer plan that does not deliver is scored, not
+    # rejected: a receiver without a decode path reads fidelity 0, and a
+    # left-over share the other party did not collect fails the check
+    report = simulate(tampered(plan_of("fig15"), tamper))
+    assert not report.passed and report.lines()[-1] == "FAIL"
+    scenario = next(sc for sc in report.scenarios if sc.calls == calls)
+    assert abs(scenario.collectors[0].fidelity - fidelity) <= 1e-9
+    assert scenario.chi_probability == 0.0
+    assert report_of("fig15").passed
 
 
 def test_leak_is_the_distance_to_a_mixed_reference():
@@ -293,6 +330,44 @@ def test_audit_requires_a_key_copy_at_the_pad_point(plan_of):
 
     with pytest.raises(EngineError, match="no complete copy"):
         validate_plan(tampered(plan, drop_pad_visit))
+
+
+PLANAR_ASSEMBLY = """
+task state_assembly
+dim 2
+secret_dim 3
+start (0, 0, 0)
+diamond D1 c=(2, 0, 0) r=(4, 0, 0)
+diamond D2 c=(2, 3, 0) r=(6, 3, 0)
+authorized D1
+"""
+
+
+@pytest.mark.parametrize("path, through", [
+    ([(0, 0, 0)], True),
+    ([(-1, 0, 0)], True),
+    ([(-1, 1, 0), (0.5, -0.5, 0)], True),
+    ([(-1, 0.5, 0)], False),
+    ([(-1, 1, 5e-324), (0.5, -0.5, 0)], False),
+], ids=["at-pad", "timelike-through", "lightlike-through", "passes-beside",
+        "misses-by-a-subnormal"])
+def test_pad_key_check_is_exact_in_two_dimensions(path, through):
+    # the key is born before the pad point (0, 0, 0) and split at the
+    # path's first point; its one part moves along the path on to D1's
+    # call point, passing the pad point or not
+    def key_earlier(events):
+        _first(events, "key")["at"] = point(-2, 0, 0)
+        split = _first(events, "split")
+        split["at"] = point(*path[0])
+        move = next(e for e in events if e.get("token") == split["parts"][0])
+        move["path"][:-1] = [point(*p) for p in path]
+
+    plan = tampered(plan_task(parse_task(PLANAR_ASSEMBLY)), key_earlier)
+    if through:
+        assert simulate(plan).passed
+    else:
+        with pytest.raises(EngineError, match="no complete copy"):
+            validate_plan(plan)
 
 
 def test_audit_rejects_reused_pad_keys(plan_of):
@@ -886,9 +961,11 @@ def _views(plan):
 
 
 def test_exclusion_flag_is_the_decoders(plan_of):
-    # an exclusion decides its reconstruction flag classically; it must be
-    # the flag the dense decoder reports, on every view of the fixtures,
-    # an escape task and a seeded sample of assembly and summoning tasks
+    # one decode rule serves every score: on every view of the fixtures, an
+    # escape task and a seeded sample of assembly and summoning tasks, its
+    # paths are the usable plain slots and the pairs of usable shares of
+    # distinct index, best first, and the dense decoder reports a decode
+    # exactly when there is a path, which is an exclusion's flag
     plans = [plan_of(nm) for nm in SIMULATED if nm != "fig15"]
     plans.append(plan_task(parse_task(ESCAPE)))
     rng = random.Random(5)
@@ -904,9 +981,17 @@ def test_exclusion_flag_is_the_decoders(plan_of):
                 if ev["op"] == "key"}
         for trace, view in _views(plan):
             usable = engine._usable(trace, view)
+            paths = [tuple(tok.label for tok in path)
+                     for path in engine._decode_paths(usable)]
+            plain = sorted(tok.label for tok in usable if tok.plain)
+            indexed = sorted((tok.share, tok.label) for tok in usable
+                             if tok.share is not None)
+            assert paths == [(lab,) for lab in plain] + [
+                (la, lb) for (sa, la), (sb, lb)
+                in itertools.combinations(indexed, 2) if sa != sb]
             found = engine._reconstruct(trace, view, zero,
                                         plan.task.secret_dim)[1]
-            assert engine._decodable(usable) == found
+            assert found == bool(paths)
             shares = {tok.share for tok in usable if tok.share is not None}
             kinds[any(tok.plain for tok in usable), min(len(shares), 2)] += 1
     # plain slots, and none, one or two distinct shares alone, all occur
@@ -996,6 +1081,98 @@ def test_thirteen_diamond_assembly_simulates():
     assert [sc.calls for sc in report.scenarios] == [
         ("D00",), ("D12",), ("D03", "D07")]
     assert report.passed
+
+
+# ------------------------------------------------------ audit fuzz gate
+# Planner plans with one or two random edits.  An edited plan that passes
+# the audit must simulate to a report, PASS or FAIL: `validate_plan` is the
+# one place that knows the plan rules, and `_run` checks none of them.
+
+EDITS = ("delete", "duplicate", "swap", "move-point", "set-guard",
+         "drop-guard", "rename")
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzzed_plans():
+    """The simulated fixtures' plans, then the first two plans of seeded
+    random assembly and summoning tasks in each of dims 1 and 2."""
+    plans = [plan_task(fixture(nm)) for nm in SIMULATED]
+    rng = random.Random(7)
+    for dim, summoning in itertools.product((1, 2), (False, True)):
+        found = 0
+        while found < 2:
+            try:
+                plans.append(plan_task(parse_task(
+                    _random_task(rng, dim, summoning))))
+            except (TaskError, PlanningError):
+                continue
+            found += 1
+    return plans
+
+
+def _name_slots(ev):
+    """(field, index) of every name an event holds: its string fields but
+    the op and code, and every item of its lists of names."""
+    return ([(k, None) for k, v in ev.items()
+             if isinstance(v, str) and k not in ("op", "code")]
+            + [(k, m) for k, v in ev.items() if k != "path"
+               and isinstance(v, list) for m in range(len(v))])
+
+
+def _edit(events, names, kind, a, b, c):
+    """Apply one edit, its event and choices picked by a, b and c."""
+    i, j = a % len(events), b % len(events)
+    ev = events[i]
+    if kind == "delete":
+        del events[i]
+    elif kind == "duplicate":
+        events.insert(j, copy.deepcopy(ev))
+    elif kind == "swap":
+        events[i], events[j] = events[j], ev
+    elif kind == "move-point":
+        points = [p for e in events for p in e.get("path", [e.get("at")])]
+        p = points[b % len(points)]
+        if "at" in ev:
+            ev["at"] = p
+        else:
+            ev["path"][c % len(ev["path"])] = p
+    elif kind == "set-guard":
+        ev["guard"] = {("called", "not_called")[c % 2]:
+                       [names[b % len(names)]]}
+    elif kind == "drop-guard":
+        ev.pop("guard", None)
+    else:
+        slots = _name_slots(ev)
+        labels = sorted({e[k] if m is None else e[k][m]
+                         for e in events for k, m in _name_slots(e)})
+        k, m = slots[b % len(slots)]
+        label = labels[c % len(labels)]
+        if m is None:
+            ev[k] = label
+        else:
+            ev[k][m] = label
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.tuples(
+    st.sampled_from(EDITS), st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+    min_size=1, max_size=2))
+@example(SIMULATED.index("fig15"), [("delete", 3, 0, 0)])
+def test_an_audited_plan_always_simulates(which, edits):
+    plans = _fuzzed_plans()
+    plan = plans[which % len(plans)]
+    names = sorted(plan.task.diamonds) or ["D?"]
+    events = copy.deepcopy(plan.events)
+    for edit in edits:
+        if events:
+            _edit(events, names, *edit)
+    edited = dataclasses.replace(plan, events=events)
+    try:
+        validate_plan(edited)
+    except EngineError:
+        return
+    assert isinstance(simulate(edited), SimulationReport)
 
 
 # ----------------------------------------------------------- formatting

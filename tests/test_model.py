@@ -433,6 +433,22 @@ PARSE_ERRORS = {
                                 "diamond D c=(0, 0) r=(1, 0, 0)\n",
                                 "point has 1 spatial coordinates, expected 2",
                                 3),
+    # coordinates and bounds are ASCII decimals: `float` would read these
+    "start-arabic-indic-digit": ("task pit\nstart (\u0663, 0)\n",
+                                 "bad number '\u0663'", 2),
+    "corner-digit-group": ("task pit\ndiamond D c=(0, 1_0) r=(1, 10)\n",
+                           "bad number '1_0'", 2),
+    "corner-fullwidth-digits": ("task pit\n"
+                                "diamond D c=(0, 0) r=(\uff15\uff10, 0)\n",
+                                "bad number '\uff15\uff10'", 2),
+    "corner-mixed-scripts": ("task pit\ndiamond D "
+                             "c=(\u0663, 1_0) r=(\uff15\uff10, 1_0)\n",
+                             "bad number '\u0663'", 2),
+    "box-digit-group": ("task localize_exclude\n"
+                        + BOX_REGION.format("box u=[1, 2_0] v=[1, 2]"),
+                        "bad number '2_0'", 3),
+    "box-arabic-indic-digit": ("task localize_exclude\n" + BOX_REGION.format(
+        "box u=[1, 2] v=[\u0661, 2]"), "bad number '\u0661'", 3),
 }
 
 

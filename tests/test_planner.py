@@ -384,3 +384,79 @@ def test_moves_follow_listed_paths(plan_of):
     assert moves
     for e in moves:
         assert len(e["path"]) >= 2
+
+
+# ------------------------------------------------- monotone relabeling
+# In one spatial dimension p <= q exactly when u_p <= u_q and v_p <= v_q,
+# and every step of check, plan and simulate compares u with u and v with
+# v.  So any two increasing maps of the u and the v coordinates, which are
+# causal automorphisms of 1+1 spacetime, keep each task's outcome.  Tasks
+# are drawn as u- and v-ranks with light-cone coordinates 2 * rank, so
+# every point has integer (t, x).  Localize-exclude is left out: a
+# nonlinear map does not keep the worldline contact it is scored by.
+
+
+def _outcome(text):
+    """The pipeline's status for a task, and its violated conditions."""
+    task = parse_task(text)
+    verdict = check_task(task)
+    conds = {v.condition for v in verdict.violations}
+    try:
+        plan = plan_task(task)
+    except PlanningError:
+        return ("refused" if verdict.feasible else "infeasible"), conds
+    status = "pass" if simulate(plan).passed else "fail"
+    return (status if verdict.feasible else "infeasible planned"), conds
+
+
+def _ranked_task(kind, start, corners, sets, fu, fv):
+    """Task text with its points at light-cone coordinates (2 fu(a),
+    2 fv(b)) for the rank pairs (a, b)."""
+    def pt(ranks):
+        u, v = 2 * fu[ranks[0]], 2 * fv[ranks[1]]
+        return f"({(u + v) // 2}, {(v - u) // 2})"
+
+    lines = [f"task {kind}", "dim 1", "secret_dim 3", f"start {pt(start)}"]
+    lines += [f"diamond D{i + 1} c={pt(c)} r={pt(r)}"
+              for i, (c, r) in enumerate(corners)]
+    lines += sets
+    return "\n".join(lines) + "\n"
+
+
+RANKS = 7  # ranks 0..6 per axis: ties are common, as they are in practice
+
+
+@st.composite
+def ranked_tasks(draw):
+    """(kind, start ranks, corner ranks per diamond, set lines)."""
+    summoning = draw(st.booleans())
+    n = draw(st.integers(2, 3))
+    rank = st.integers(0, RANKS - 1)
+    start = (draw(rank), draw(rank))
+    corners = []
+    for _ in range(n):
+        (uc, ur), (vc, vr) = (sorted((draw(rank), draw(rank)))
+                              for _ in "uv")
+        corners.append(((uc, vc), (ur, vr)))
+    names = [f"D{i + 1}" for i in range(n)]
+    subsets = st.lists(st.sampled_from(names), min_size=1, max_size=n,
+                       unique=True).map(lambda s: " ".join(sorted(s)))
+    if summoning:
+        return "summoning:single_call_single_return", start, corners, []
+    auth = draw(st.lists(subsets, min_size=1, max_size=2, unique=True))
+    sets = [f"authorized {s}" for s in auth]
+    sets.append(f"unauthorized {draw(subsets)}")
+    return "state_assembly", start, corners, sets
+
+
+increasing_maps = st.lists(st.integers(1, 4), min_size=RANKS,
+                           max_size=RANKS).map(
+    lambda steps: [sum(steps[:k + 1]) for k in range(RANKS)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_tasks(), increasing_maps, increasing_maps)
+def test_monotone_relabeling_keeps_the_outcome(drawn, fu, fv):
+    identity = list(range(RANKS))
+    base = _outcome(_ranked_task(*drawn, identity, identity))
+    assert _outcome(_ranked_task(*drawn, fu, fv)) == base
