@@ -51,7 +51,7 @@ import numpy as np
 
 from . import qsim, schemes
 from .geometry import (Diamond, Point, Region, WorldlineChart, causal_leq,
-                       path_is_causal, region_in_future)
+                       path_is_causal, reached)
 # Not called here, since contact comes from `_Contacts`.  The name stays
 # because the benchmark tracer wraps it and its test reads it, as with the
 # planner's `escape_exists`.
@@ -386,9 +386,7 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
         if ev.get("op") != "pad":
             continue
         key, at = ev["key"], ev["at"]
-        if keys[key] == at:
-            continue
-        if not any(
+        if keys[key] != at and not any(
             src == key and all(
                 any(_passes_through(plan.events[j], at) for j in cpaths[part])
                 for part in parts)
@@ -414,12 +412,17 @@ def validate_plan(plan: Plan, contacts: _Contacts | None = None) -> None:
                         "it is routed against")
 
 
+def _piece(ev: dict) -> Sequence[Point]:
+    """Event `ev`'s worldline piece: a move's path, else its birth point."""
+    return ev["path"] if ev["op"] == "move" else (ev["at"],)
+
+
 def _passes_through(ev: dict, p: Point) -> bool:
-    """Does the worldline piece that event `ev` made (see `_Contacts`)
-    pass through `p`?  Exact in any dimension: on an audited, so causal,
-    path `p` is a vertex, or lies strictly between a segment's end times
-    with p - a parallel to b - a, which is decided in rationals."""
-    path = ev.get("path") or (ev["at"],)
+    """Does the worldline piece that event `ev` made pass through `p`?
+    Exact in any dimension: on an audited, so causal, path `p` is a
+    vertex, or lies strictly between a segment's end times with p - a
+    parallel to b - a, which is decided in rationals."""
+    path = _piece(ev)
     for a, b in zip(path, path[1:] or path):
         if a == p or b == p:
             return True
@@ -458,9 +461,8 @@ class _Contacts:
         if answer is None:
             chart = self._charts.get(i)
             if chart is None:
-                ev = self._events[i]
                 chart = self._charts[i] = WorldlineChart(
-                    ev["path"] if ev["op"] == "move" else (ev["at"],))
+                    _piece(self._events[i]))
             boxes = self._boxes.get(name)
             if boxes is None:
                 boxes = self._boxes[name] = [d.box() for d in diamonds]
@@ -636,9 +638,8 @@ def _collect(trace: _Trace, region: Region, geometric: bool,
     of diamonds.
     """
     if geometric:
-        if contacts is None:
-            contacts = _Contacts(trace.events)
-        touches, name, ds = contacts.touches, region.name, region.diamonds
+        touches = (contacts or _Contacts(trace.events)).touches
+        name, ds = region.name, region.diamonds
 
         def hit(tok: _Tok) -> bool:
             return any(touches(i, name, ds) for i in tok.paths)
@@ -654,7 +655,7 @@ def _collect(trace: _Trace, region: Region, geometric: bool,
     known = {key for key, ps in trace.splits
              if all(p in parts for p in ps)}
     heard = {val for val, origin in trace.casts
-             if region_in_future(region, origin)}
+             if next(reached(origin, region.diamonds), None) is not None}
     return _View(sorted(slots), known, heard)
 
 
@@ -699,9 +700,9 @@ def _decode_paths(usable: Sequence[_Tok]) -> Iterator[tuple[_Tok, ...]]:
     best first.  Each plain slot by label, then each pair of code shares of
     distinct index by (index, label).  Delivery and transfer decode along
     the first; an exclusion's reconstruction flag is whether one exists."""
-    yield from ((t,) for t in sorted((t for t in usable if t.plain),
-                                     key=lambda t: t.label))
-    shares = sorted((t for t in usable if t.share is not None),
+    for t in sorted([t for t in usable if t.plain], key=lambda t: t.label):
+        yield (t,)
+    shares = sorted([t for t in usable if t.share is not None],
                     key=lambda t: (t.share, t.label))
     for ta, tb in itertools.combinations(shares, 2):
         if ta.share != tb.share:
@@ -938,8 +939,6 @@ def _simulate_pit(plan: Plan, tol: float) -> SimulationReport:
     d = task.secret_dim
     pair_map = {pname: (d1, d2) for pname, d1, d2 in task.pit_pairs()}
     scenarios: list[ScenarioResult] = []
-    fids: list[float] = []
-    chis: list[float] = []
     states: dict = {}
 
     for receiver, third, calls in _pit_battery(task):
@@ -964,8 +963,6 @@ def _simulate_pit(plan: Plan, tol: float) -> SimulationReport:
                 chi = qsim.fidelity(
                     qsim.partial_trace(state, [path[1].label, left[0]]),
                     schemes.chi_state())
-        fids.append(fid)
-        chis.append(chi)
         scenarios.append(ScenarioResult(
             calls=tuple(sorted(calls)), fired=tuple(tr.fired),
             collectors=[CollectorResult(
@@ -973,8 +970,8 @@ def _simulate_pit(plan: Plan, tol: float) -> SimulationReport:
                 ok=fid >= 1.0 - tol)],
             chi_probability=chi))
 
-    min_fid = min(fids)
-    min_chi = min(chis)
+    min_fid = min(s.collectors[0].fidelity for s in scenarios)
+    min_chi = min(s.chi_probability for s in scenarios)
     passed = min_fid >= 1.0 - tol and min_chi >= 1.0 - tol
     return SimulationReport(
         "pit", tol, scenarios, min_fid, None, min_chi, passed,

@@ -24,9 +24,10 @@ A verdict lists every violated condition with the sets that witness it,
 in a fixed order, so infeasibility is always explained.
 
 Each condition the planner builds from has one generator of its witnesses:
-`geometry.reached` for I_A, `linked_pairs` for II and `release_witnesses`
-for assembly's III.  The checker asks whether it yields anything, and the
-planner builds from the first witness it can use, as from `b1_peel`'s order.
+`geometry.reached` for I_A, `geometry.linked_pairs` for II and
+`release_witnesses` for assembly's III.  The checker asks whether it yields
+anything, and the planner builds from the first witness it can use, as from
+`b1_peel`'s order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Diamond, causal_leq, escape_exists, region_in_future
+from .geometry import (Diamond, causal_leq, escape_exists, linked_pairs,
+                       reached)
 from .model import TaskError, TaskSpec
 
 _CONDITION_RANK = {"I_A": 0, "I_B": 1, "II": 2, "III": 3, "B1": 4}
@@ -108,25 +110,12 @@ def _reach_violations(task: TaskSpec,
     assert task.start is not None
     ia, ii = _REACH_DETAIL[task.kind]
     out = [Violation("I_A", (label,), ia) for label, ds in auth
-           if not region_in_future(ds, task.start)]
+           if next(reached(task.start, ds), None) is None]
     if pairwise:
         for (la, da), (lb, db) in itertools.combinations(auth, 2):
             if next(linked_pairs(da, db), None) is None:
                 out.append(Violation("II", (la, lb), ii))
     return out
-
-
-def linked_pairs(da: Sequence[Diamond],
-                 db: Sequence[Diamond]) -> Iterator[tuple[Diamond, Diamond]]:
-    """The causally connected pairs of a diamond of `da` and one of `db`,
-    in that order, each as (sender, receiver): the sender's call precedes
-    the receiver's return.  These are condition II's witnesses."""
-    for a in da:
-        for b in db:
-            if causal_leq(a.c, b.r):
-                yield a, b
-            elif causal_leq(b.c, a.r):
-                yield b, a
 
 
 # --------------------------------------------------------------------

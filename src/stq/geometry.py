@@ -67,6 +67,7 @@ __all__ = [
     "from_lightcone",
     "region_in_future",
     "reached",
+    "linked_pairs",
     "connected",
     "earliest_point_after",
     "escape_exists",
@@ -245,25 +246,38 @@ def _diamonds_of(obj: _DiamondsLike) -> tuple[Diamond, ...]:
     return tuple(obj)
 
 
-def reached(p: Point, region: _DiamondsLike) -> Iterator[int]:
-    """The indices of the region's diamonds that meet J+(p), in order:
-    condition I_A's witnesses when p is the start.  A diamond meets J+(p)
-    exactly when its return corner does (any point of the diamond causally
-    after p forces p <= r by transitivity)."""
-    for i, d in enumerate(_diamonds_of(region)):
+def reached(p: Point, diamonds: Iterable[Diamond]) -> Iterator[Diamond]:
+    """The diamonds that meet J+(p), in order: condition I_A's witnesses
+    when p is the start.  A diamond meets J+(p) exactly when its return
+    corner does (any point of the diamond causally after p forces p <= r
+    by transitivity)."""
+    for d in diamonds:
         if causal_leq(p, d.r):
-            yield i
+            yield d
 
 
 def region_in_future(region: _DiamondsLike, p: Point) -> bool:
     """Does the region intersect J+(p)?  Whether `reached` yields any."""
-    return next(reached(p, region), None) is not None
+    return next(reached(p, _diamonds_of(region)), None) is not None
+
+
+def linked_pairs(da: Sequence[Diamond],
+                 db: Sequence[Diamond]) -> Iterator[tuple[Diamond, Diamond]]:
+    """The causally connected pairs of a diamond of `da` and one of `db`,
+    in that order, each as (sender, receiver): the sender's call precedes
+    the receiver's return.  These are condition II's witnesses."""
+    for a in da:
+        for b in db:
+            if causal_leq(a.c, b.r):
+                yield a, b
+            elif causal_leq(b.c, a.r):
+                yield b, a
 
 
 def connected(a: Diamond, b: Diamond) -> bool:
     """Causally connected: a signal can go from one diamond's call corner to
-    the other's return corner, in either direction."""
-    return causal_leq(a.c, b.r) or causal_leq(b.c, a.r)
+    the other's return corner, in either direction: `linked_pairs` yields."""
+    return next(linked_pairs((a,), (b,)), None) is not None
 
 
 def earliest_point_after(d: Diamond, p: Point) -> Point | None:

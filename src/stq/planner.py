@@ -35,9 +35,9 @@ from typing import Callable, Iterable, Sequence
 
 from .geometry import (Diamond, Point, causal_leq, earliest_point_after,
                        escape_exists, extract_escape_path, from_lightcone,
-                       reached, region_in_future, to_lightcone)
+                       linked_pairs, reached, region_in_future, to_lightcone)
 from .model import TaskSpec
-from .feasibility import b1_peel, check_task, linked_pairs, release_witnesses
+from .feasibility import b1_peel, check_task, release_witnesses
 
 Guard = dict
 Event = dict
@@ -418,13 +418,13 @@ def _route_assembly_cipher(task: TaskSpec, events: list[Event],
     if len(targets) == 1:
         # a key part's release diamond is a member the start reaches
         la, ds = task.collection(targets[0])
-        i = next(reached(start, ds), None)
-        if i is None:
+        d = next(reached(start, ds), None)
+        if d is None:
             raise RuntimeError(f"internal error: ciphertext cannot reach "
                                f"{la}; condition I_A should have caught this")
-        events.append({"op": "move", "token": share,
-                       "path": [start, ds[i].r]})
-        notes.append(f"channel {idx}: ciphertext direct to {targets[0][i]}")
+        events.append({"op": "move", "token": share, "path": [start, d.r]})
+        notes.append(f"channel {idx}: ciphertext direct to "
+                     f"{targets[0][ds.index(d)]}")
         return
 
     names_a, names_b = targets
